@@ -15,8 +15,8 @@
 //     bit-identical results and a byte-identical trace, with sessions/sec,
 //     parallel speedup and peak RSS reported as machine-dependent
 //     time-metrics (floor-gated by tools/bench_gate.py against
-//     conservative committed baselines, excluded from the CI stdout
-//     determinism diffs);
+//     committed baselines measured on the host docs/PERF.md names,
+//     excluded from the CI stdout determinism diffs);
 //   * a retirement + parallelism equivalence panel at fixed workload: the
 //     SAME config across {compaction off/on} x {1/8 queue shards} x
 //     {1/4 workers} must produce bit-identical results and byte-identical

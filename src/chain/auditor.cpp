@@ -34,25 +34,19 @@ void InvariantAuditor::record(const Ledger& ledger, const Transaction& tx,
   }
 }
 
-void InvariantAuditor::on_compaction(const Ledger& ledger,
-                                     const CompactionReport& report) {
+void InvariantAuditor::on_compaction(const Ledger& ledger) {
   ++checks_;
   // Violations raised here carry TxId{0}: no single transaction is at
   // fault, the sweep itself is.
   const Transaction no_tx{};
 
-  // Conservation across the fold, against both the attach-time baseline
-  // and the sweep's own before/after snapshot.
+  // Conservation across the fold: a full recompute against the attach-time
+  // baseline (the single conservation check of a sweep).
   const Amount supply = ledger.total_supply();
   if (supply != expected_supply_) {
     record(ledger, no_tx,
            "compaction broke conservation: " + supply.to_string() +
                " != baseline " + expected_supply_.to_string());
-  }
-  if (report.supply_after != report.supply_before) {
-    record(ledger, no_tx,
-           "compaction changed supply: " + report.supply_before.to_string() +
-               " -> " + report.supply_after.to_string());
   }
 
   // Every contract the ledger no longer knows must have been seen settled;

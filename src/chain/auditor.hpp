@@ -69,11 +69,13 @@ class InvariantAuditor {
   void on_transaction_applied(const Ledger& ledger, const Transaction& tx);
 
   /// Compaction hook; called by Ledger::compact after a sweep.  Checks that
-  /// supply was conserved across the fold and that no contract disappeared
-  /// while still locked (retiring locked funds would silently strand
-  /// supply), then forgets the retired contracts so the per-transaction
-  /// scan stays bounded by the live set.  Not for direct use.
-  void on_compaction(const Ledger& ledger, const CompactionReport& report);
+  /// supply was conserved across the fold (total_supply() recomputed in
+  /// full against the attach-time baseline) and that no contract
+  /// disappeared while still locked (retiring locked funds would silently
+  /// strand supply), then forgets the retired contracts so the
+  /// per-transaction scan stays bounded by the live set.  Not for direct
+  /// use.
+  void on_compaction(const Ledger& ledger);
 
  private:
   struct HtlcSnapshot {

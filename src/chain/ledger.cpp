@@ -32,6 +32,21 @@ const char* payload_name(const TxPayload& payload) noexcept {
   return std::visit(Visitor{}, payload);
 }
 
+/// The contract a confirmed transaction settled, or nullptr if it settles
+/// none.
+const HtlcId* settled_contract(const TxPayload& payload) noexcept {
+  if (const auto* p = std::get_if<ClaimHtlcPayload>(&payload)) {
+    return &p->contract;
+  }
+  if (const auto* p = std::get_if<RefundHtlcPayload>(&payload)) {
+    return &p->contract;
+  }
+  if (const auto* p = std::get_if<CancelHtlcPayload>(&payload)) {
+    return &p->contract;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 const char* to_string(TxStatus status) noexcept {
@@ -148,6 +163,7 @@ TxId Ledger::submit(TxPayload payload) {
                         {"payload", payload_name(tx.payload)},
                         {"status", "dropped"}});
       }
+      failed_txs_.push_back({tx.submitted_at, id.value});
       transactions_.emplace(id.value, std::move(tx));
       return id;  // never scheduled for application
     }
@@ -305,61 +321,52 @@ CompactionReport Ledger::compact(Hours watermark) {
   }
   CompactionReport report;
   report.watermark = watermark;
-  report.supply_before = total_supply();
 
   // Everything mempool-visible by now must reach the secret index before
   // its transaction record can go away.
   mature_secrets(queue_->now());
-
-  // Confirmed transactions enter the log in time order, so the retirable
-  // entries are exactly a prefix.
-  std::size_t cut = 0;
-  while (cut < confirmation_log_.size()) {
-    const auto it = transactions_.find(confirmation_log_[cut].value);
-    if (it == transactions_.end() || it->second.confirmed_at > watermark) break;
-    ++cut;
-  }
-  if (cut > 0) {
-    confirmation_log_.erase(confirmation_log_.begin(),
-                            confirmation_log_.begin() + cut);
-    log_offset_ += cut;
-    report.log_truncated = cut;
-  }
-
-  // Settled contracts behind the watermark; locked ones always survive
-  // (their amounts are live supply and their refund path must stay valid).
-  for (auto it = htlcs_.begin(); it != htlcs_.end();) {
-    const HtlcContract& contract = it->second;
-    if (contract.state != HtlcState::kLocked &&
-        contract.settled_at <= watermark) {
-      it = htlcs_.erase(it);
-      ++report.htlcs_retired;
-    } else {
-      ++it;
-    }
-  }
-
-  // Transactions whose lifecycle completed by the watermark: applied ones
-  // (confirmed or failed -- their balance effects are in accounts_) and
-  // dropped ones (never scheduled at all).  Pending transactions have
-  // confirmed_at > watermark by construction (their apply event has not
-  // fired yet and the watermark is strictly in the past).
-  for (auto it = transactions_.begin(); it != transactions_.end();) {
-    const Transaction& tx = it->second;
-    const bool done = tx.status == TxStatus::kDropped
-                          ? tx.submitted_at <= watermark
-                          : tx.status != TxStatus::kPending &&
-                                tx.confirmed_at <= watermark;
-    if (done) {
+  const auto retire_transaction = [this](auto it) {
+    if (std::holds_alternative<ClaimHtlcPayload>(it->second.payload)) {
       secret_index_.erase(it->first);
-      it = transactions_.erase(it);
-      ++report.transactions_retired;
-    } else {
-      ++it;
     }
-  }
+    transactions_.erase(it);
+  };
 
-  report.supply_after = total_supply();
+  // Applied transactions (confirmed or failed -- their balance effects are
+  // in accounts_) and dropped ones (never scheduled at all) retire once
+  // their lifecycle completed by the watermark.  Confirmed transactions
+  // enter the log in time order, so the retirable ones are exactly a
+  // prefix.  A confirmed claim, refund or cancel is the transaction that
+  // settled its contract, at the same time, so the contract retires with
+  // it; locked contracts have no such transaction yet (their amounts are
+  // live supply and their refund path must stay valid).
+  std::size_t cut = 0;
+  for (; cut < confirmation_log_.size(); ++cut) {
+    const auto it = transactions_.find(confirmation_log_[cut].value);
+    if (it->second.confirmed_at > watermark) break;
+    if (const HtlcId* contract = settled_contract(it->second.payload)) {
+      report.htlcs_retired += htlcs_.erase(contract->value);
+    }
+    retire_transaction(it);
+  }
+  confirmation_log_.erase(confirmation_log_.begin(),
+                          confirmation_log_.begin() + cut);
+  log_offset_ += cut;
+  report.log_truncated = cut;
+
+  // Failed and dropped transactions never enter the log; they queue in
+  // completion order instead.  Pending transactions are in neither: their
+  // apply event has not fired yet.
+  const auto failed_end = std::partition_point(
+      failed_txs_.begin(), failed_txs_.end(),
+      [watermark](const Completion& c) { return c.at <= watermark; });
+  for (auto c = failed_txs_.begin(); c != failed_end; ++c) {
+    retire_transaction(transactions_.find(c->id));
+  }
+  report.transactions_retired =
+      cut + static_cast<std::size_t>(failed_end - failed_txs_.begin());
+  failed_txs_.erase(failed_txs_.begin(), failed_end);
+
   if (trace_ != nullptr) {
     trace_->record(queue_->now(), obs::TraceKind::kCompaction,
                    {{"chain", to_string(params_.id)},
@@ -369,7 +376,7 @@ CompactionReport Ledger::compact(Hours watermark) {
                     {"htlcs", static_cast<std::uint64_t>(report.htlcs_retired)},
                     {"log", static_cast<std::uint64_t>(report.log_truncated)}});
   }
-  if (auditor_ != nullptr) auditor_->on_compaction(*this, report);
+  if (auditor_ != nullptr) auditor_->on_compaction(*this);
   return report;
 }
 
@@ -413,12 +420,15 @@ void Ledger::apply(Transaction& tx) {
                       {"tx", tx.id.value},
                       {"payload", payload_name(tx.payload)}});
     }
-  } else if (trace_ != nullptr) {
-    trace_->record(queue_->now(), obs::TraceKind::kTxFailed,
-                   {{"chain", to_string(params_.id)},
-                    {"tx", tx.id.value},
-                    {"payload", payload_name(tx.payload)},
-                    {"reason", tx.failure_reason}});
+  } else {
+    failed_txs_.push_back({queue_->now(), tx.id.value});
+    if (trace_ != nullptr) {
+      trace_->record(queue_->now(), obs::TraceKind::kTxFailed,
+                     {{"chain", to_string(params_.id)},
+                      {"tx", tx.id.value},
+                      {"payload", payload_name(tx.payload)},
+                      {"reason", tx.failure_reason}});
+    }
   }
   if (auditor_ != nullptr) auditor_->on_transaction_applied(*this, tx);
 }

@@ -19,9 +19,16 @@
 // -- settled HTLCs, applied/dropped transactions (their balance effects
 // already live in the account map, so the fold is conservation-neutral by
 // construction) -- and truncates the confirmed prefix of the log behind
-// confirmation_log_offset().  retire_account() additionally folds a
-// finished session's balance into one retained aggregate that
-// total_supply() still counts.  The InvariantAuditor audits every sweep.
+// confirmation_log_offset().  A sweep costs O(records retired), not
+// O(live records): finished transactions sit in completion-ordered queues
+// -- the confirmation log for confirmed ones, a queue of (completion time,
+// id) for failed and dropped ones -- and since event time never decreases
+// the sweep pops exactly their retirable prefixes.  A settled HTLC retires
+// with the confirmed claim, refund or cancel that settled it.
+// retire_account() additionally folds a finished session's balance into one
+// retained aggregate that total_supply() still counts.  Conservation across
+// a fold is checked by the InvariantAuditor, which recomputes
+// total_supply() in full against its attach-time baseline on every sweep.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +80,6 @@ struct CompactionReport {
   std::size_t transactions_retired = 0;
   std::size_t htlcs_retired = 0;
   std::size_t log_truncated = 0;
-  /// total_supply() before/after the sweep; equal unless retirement broke
-  /// conservation (the auditor's on_compaction check).
-  Amount supply_before;
-  Amount supply_after;
 };
 
 class Ledger {
@@ -185,7 +188,9 @@ class Ledger {
   /// still look the records up at their own fire time.  Locked HTLCs and
   /// pending transactions always survive.  Conservation-neutral: applied
   /// balance effects already live in the account map and locked funds are
-  /// never touched.  Notifies the auditor (on_compaction) and records a
+  /// never touched.  Costs O(records retired): it pops the prefixes of the
+  /// completion-ordered log and failed/dropped queue instead of scanning
+  /// the live maps.  Notifies the auditor (on_compaction) and records a
   /// kCompaction trace event when sinks are attached.
   CompactionReport compact(Hours watermark);
 
@@ -226,6 +231,12 @@ class Ledger {
     std::uint64_t tx = 0;
     ObservedSecret secret;
   };
+  /// A failed or dropped transaction awaiting retirement: completion time
+  /// and id.
+  struct Completion {
+    Hours at = 0.0;
+    std::uint64_t id = 0;
+  };
   struct PendingLater {
     bool operator()(const PendingSecret& a,
                     const PendingSecret& b) const noexcept {
@@ -262,6 +273,10 @@ class Ledger {
   Amount retired_balance_;
   std::vector<TxId> confirmation_log_;
   std::size_t log_offset_ = 0;
+  // Failed and dropped transactions in completion order (pushed at event
+  // time, which never decreases); compact() erases the prefix at or before
+  // its watermark, like the log's.
+  std::vector<Completion> failed_txs_;
   // Incremental secret index (mutable: visible_secrets() is const but
   // matures pending entries lazily against the clock).  Mirrors exactly
   // what the old full-history rescan produced: every claim transaction

@@ -7,12 +7,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "chain/auditor.hpp"
 #include "chain/block.hpp"
 #include "chain/event_queue.hpp"
+#include "chain/faults.hpp"
 #include "chain/ledger.hpp"
 #include "crypto/secret.hpp"
 #include "market/population/population_sim.hpp"
@@ -120,11 +122,12 @@ TEST(LedgerCompaction, RetiresSettledRecordsAndConservesSupply) {
   fx.queue.run_until(10.0);
 
   EXPECT_EQ(fx.ledger.transaction_count(), 2u);
+  const chain::Amount supply_before = fx.ledger.total_supply();
   const chain::CompactionReport report = fx.ledger.compact(9.0);
   EXPECT_EQ(report.transactions_retired, 2u);
   EXPECT_EQ(report.htlcs_retired, 1u);
   EXPECT_EQ(report.log_truncated, 2u);
-  EXPECT_EQ(report.supply_before, report.supply_after);
+  EXPECT_EQ(fx.ledger.total_supply(), supply_before);
   EXPECT_EQ(fx.ledger.total_supply(), supply);
 
   // Records are gone, counters remember them.
@@ -221,6 +224,165 @@ TEST(LedgerCompaction, AuditorCatchesSupplyDriftAcrossTheFold) {
   ASSERT_FALSE(auditor.ok());
   EXPECT_NE(auditor.violations()[0].what.find("conservation"),
             std::string::npos);
+}
+
+/// What a full scan of the live records finds retirable at `watermark`:
+/// the predicates of the original O(live) sweep, walked over every map.
+struct RetirableScan {
+  std::size_t txs = 0;
+  std::size_t htlcs = 0;
+  std::size_t log = 0;
+  std::vector<chain::TxId> pending;
+  std::vector<chain::HtlcId> locked;
+  std::size_t live_txs = 0;
+};
+
+RetirableScan scan_retirable(const chain::Ledger& ledger, double watermark) {
+  RetirableScan scan;
+  for (std::uint64_t id = 1; id <= ledger.transaction_count(); ++id) {
+    const chain::Transaction* tx = ledger.find_transaction(chain::TxId{id});
+    if (tx == nullptr) continue;
+    ++scan.live_txs;
+    const bool done = tx->status == chain::TxStatus::kDropped
+                          ? tx->submitted_at <= watermark
+                          : tx->status != chain::TxStatus::kPending &&
+                                tx->confirmed_at <= watermark;
+    if (done) ++scan.txs;
+    if (tx->status == chain::TxStatus::kPending) scan.pending.push_back(tx->id);
+  }
+  for (const auto& [id, contract] : ledger.htlcs()) {
+    if (contract.state == chain::HtlcState::kLocked) {
+      scan.locked.push_back(contract.id);
+    } else if (contract.settled_at <= watermark) {
+      ++scan.htlcs;
+    }
+  }
+  for (const chain::TxId id : ledger.confirmation_log()) {
+    if (ledger.transaction(id).confirmed_at > watermark) break;
+    ++scan.log;
+  }
+  return scan;
+}
+
+TEST(LedgerCompaction, RetiresExactlyWhatAFullScanFinds) {
+  // Everything that makes completion order differ from submission order:
+  // confirmation jitter and extra delays, dropped submissions, failing
+  // claims, and auto-refunds whose broadcasts are dropped and retried.
+  chain::EventQueue queue;
+  math::Xoshiro256 jitter_rng(0x5117);
+  chain::Ledger ledger({chain::ChainId::kChainA, /*tau=*/2.0, /*eps=*/0.5,
+                        /*jitter=*/1.5},
+                       queue, &jitter_rng);
+  chain::FaultModel faults;
+  faults.drop_prob = 0.2;
+  faults.extra_delay_prob = 0.1;
+  faults.extra_delay_max = 3.0;
+  chain::FaultInjector injector(faults, 0xD20B);
+  ledger.set_fault_injector(&injector);
+  ledger.create_account({"alice"}, chain::Amount::from_tokens(1e6));
+  ledger.create_account({"bob"}, chain::Amount::from_tokens(1e6));
+  chain::InvariantAuditor auditor;
+  auditor.attach(ledger);
+
+  // Each lock is claimed with its secret (plan 0), claimed with a wrong
+  // one (plan 1, the claim fails and the lock refunds), left to refund
+  // (plan 2), or is an inverse escrow its sender cancels (plan 3); a plan
+  // runs once, as soon as the contract exists.
+  struct Lock {
+    chain::HtlcId id;
+    crypto::Secret secret;
+    int plan = 0;
+  };
+  math::Xoshiro256 rng(0xC0FFEE);
+  std::vector<Lock> locks;
+  std::set<std::uint64_t> failed, dropped_refunds, refunded, cancelled;
+  bool reordered = false;
+  double last_watermark = -1.0;
+  std::size_t retired_txs = 0;
+  for (int round = 0; round < 160; ++round) {
+    for (int k = 0; k < 4; ++k) {
+      const crypto::Secret secret = crypto::Secret::generate(rng);
+      const double expiry = queue.now() + 4.0 + 4.0 * math::uniform01(rng);
+      const chain::TxId deploy = ledger.submit(chain::DeployHtlcPayload{
+          {"alice"}, {"bob"}, chain::Amount::from_tokens(1.0),
+          secret.commitment(), expiry,
+          k == 3 ? chain::HtlcKind::kInverse : chain::HtlcKind::kStandard});
+      locks.push_back({ledger.pending_contract_of(deploy), secret, k});
+    }
+    for (Lock& lock : locks) {
+      if (lock.plan == 2 || !ledger.has_htlc(lock.id) ||
+          ledger.htlc(lock.id).state != chain::HtlcState::kLocked) {
+        continue;
+      }
+      if (lock.plan == 3) {
+        (void)ledger.submit(chain::CancelHtlcPayload{lock.id, {"alice"}});
+      } else {
+        const crypto::Secret secret =
+            lock.plan == 0 ? lock.secret : crypto::Secret::generate(rng);
+        (void)ledger.submit(chain::ClaimHtlcPayload{lock.id, secret, {"bob"}});
+      }
+      lock.plan = 2;
+    }
+    queue.run_until(queue.now() + 0.75);
+    if (round % 2 == 0) continue;
+
+    // A rising watermark at a varying distance behind the clock.
+    const double watermark = queue.now() - 1.0 - 0.5 * (round % 3);
+    ASSERT_GT(watermark, last_watermark);
+    last_watermark = watermark;
+    const RetirableScan scan = scan_retirable(ledger, watermark);
+    for (std::size_t i = 1; i < ledger.confirmation_log().size(); ++i) {
+      if (ledger.confirmation_log()[i].value <
+          ledger.confirmation_log()[i - 1].value) {
+        reordered = true;
+      }
+    }
+    for (std::uint64_t id = 1; id <= ledger.transaction_count(); ++id) {
+      const chain::Transaction* tx = ledger.find_transaction(chain::TxId{id});
+      if (tx == nullptr) continue;
+      if (tx->status == chain::TxStatus::kFailed) failed.insert(id);
+      if (tx->status == chain::TxStatus::kDropped &&
+          std::holds_alternative<chain::RefundHtlcPayload>(tx->payload)) {
+        dropped_refunds.insert(id);
+      }
+    }
+    for (const auto& [id, contract] : ledger.htlcs()) {
+      if (contract.state == chain::HtlcState::kRefunded) refunded.insert(id);
+      if (contract.state == chain::HtlcState::kCancelled) cancelled.insert(id);
+    }
+
+    const chain::CompactionReport report = ledger.compact(watermark);
+    SCOPED_TRACE(::testing::Message() << "round=" << round);
+    EXPECT_EQ(report.transactions_retired, scan.txs);
+    EXPECT_EQ(report.htlcs_retired, scan.htlcs);
+    EXPECT_EQ(report.log_truncated, scan.log);
+    retired_txs += report.transactions_retired;
+    for (const chain::TxId id : scan.pending) {
+      EXPECT_NE(ledger.find_transaction(id), nullptr) << "tx " << id.value;
+    }
+    for (const chain::HtlcId id : scan.locked) {
+      EXPECT_TRUE(ledger.has_htlc(id)) << "htlc " << id.value;
+    }
+    EXPECT_EQ(scan_retirable(ledger, watermark).live_txs,
+              scan.live_txs - scan.txs);
+  }
+
+  // The run exercised every ordering hazard it was built for.
+  EXPECT_TRUE(reordered);
+  EXPECT_GT(injector.dropped(), 0u);
+  EXPECT_FALSE(failed.empty());
+  EXPECT_FALSE(dropped_refunds.empty());
+  EXPECT_FALSE(refunded.empty());
+  EXPECT_FALSE(cancelled.empty());
+  EXPECT_GT(retired_txs, 0u);
+
+  // Drained, one last sweep retires every transaction ever submitted.
+  queue.run();
+  queue.run_until(queue.now() + 1.0);
+  retired_txs += ledger.compact(queue.now() - 0.5).transactions_retired;
+  EXPECT_EQ(retired_txs, ledger.transaction_count());
+  EXPECT_TRUE(ledger.confirmation_log().empty());
+  EXPECT_TRUE(auditor.ok());
 }
 
 // ---------------------------------------------------------------------------
