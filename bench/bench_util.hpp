@@ -12,9 +12,11 @@
 // plus the binary's total runtime.  exit_code() appends TIME lines after
 // the CHECK lines (so the data blocks above stay byte-comparable across
 // runs) and writes BENCH_<slug>.json into the current directory with the
-// same numbers for machine consumption.  See docs/PERF.md for the format.
+// same numbers for machine consumption, plus a "host" object naming the
+// machine and build the times came from.  See docs/PERF.md for the format.
 #pragma once
 
+#include <sched.h>
 #include <sys/stat.h>
 
 #include <cerrno>
@@ -22,11 +24,50 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+// CMAKE_BUILD_TYPE of the bench binary (a compile definition set in
+// bench/CMakeLists.txt).
+#ifndef SWAPGAME_BUILD_TYPE
+#define SWAPGAME_BUILD_TYPE "unknown"
+#endif
+
 namespace swapgame::bench {
+
+/// The machine and build a bench ran on: every timing in BENCH_<slug>.json
+/// is quoted with its host.
+struct HostInfo {
+  unsigned nproc = 0;         ///< CPUs this process may run on (as nproc)
+  std::string cpu_model;      ///< first "model name" of /proc/cpuinfo
+  std::string compiler;       ///< __VERSION__
+  std::string build_type;     ///< CMAKE_BUILD_TYPE
+};
+
+inline HostInfo host_info() {
+  HostInfo host;
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  host.nproc = ::sched_getaffinity(0, sizeof(cpus), &cpus) == 0
+                   ? static_cast<unsigned>(CPU_COUNT(&cpus))
+                   : std::thread::hardware_concurrency();
+  host.cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      host.cpu_model = line.substr(colon + 2);
+    }
+    break;
+  }
+  host.compiler = __VERSION__;
+  host.build_type = SWAPGAME_BUILD_TYPE;
+  return host;
+}
 
 /// Output directory for BENCH_/TRACE_ artifacts: `SWAPGAME_BENCH_DIR` when
 /// set (created on demand, best effort), the current directory otherwise.
@@ -246,6 +287,13 @@ class Report {
       std::fprintf(f, "{\n  \"artifact\": \"%s\",\n",
                    json_escape(artifact_).c_str());
       std::fprintf(f, "  \"failures\": %d,\n", failures_);
+      const HostInfo host = host_info();
+      std::fprintf(f,
+                   "  \"host\": {\"nproc\": %u, \"cpu_model\": \"%s\", "
+                   "\"compiler\": \"%s\", \"build_type\": \"%s\"},\n",
+                   host.nproc, json_escape(host.cpu_model).c_str(),
+                   json_escape(host.compiler).c_str(),
+                   json_escape(host.build_type).c_str());
       std::fprintf(f, "  \"metrics\": {");
       for (std::size_t i = 0; i < metrics_.size(); ++i) {
         std::fprintf(f, "%s\n    \"%s\": %.6f", i == 0 ? "" : ",",

@@ -17,6 +17,7 @@
 #include "bench_engine.hpp"
 #include "bench_util.hpp"
 #include "engine/scenario_batch.hpp"
+#include "model/basic_game.hpp"
 #include "model/collateral_game.hpp"
 #include "model/premium_game.hpp"
 #include "sim/scenario.hpp"
@@ -94,6 +95,7 @@ int main() {
                               row.bob_hi_p));
   }
   {
+    const model::BasicGame bg(p, 2.0);
     const model::CollateralGame cg(p, 2.0, 1.0);
     const model::PremiumGame pg(p, 2.0, 1.0);
     // The premium is reclaimed at t3 + tau_a while the oracle returns
@@ -102,7 +104,7 @@ int main() {
     report.claim("both mechanisms lower Alice's t3 cutoff (premium >= coll)",
                  pg.alice_t3_cutoff() <= cg.alice_t3_cutoff() &&
                      cg.alice_t3_cutoff() <
-                         cg.basic().alice_t3_cutoff() - 1e-9);
+                         bg.alice_t3_cutoff() - 1e-9);
     report.claim(
         "only collateral raises Bob's high-price walk-away threshold",
         cg.bob_t2_region().intervals().back().hi >

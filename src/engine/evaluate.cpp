@@ -6,6 +6,7 @@
 // must stay byte-identical, warm or cold.
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "agents/strategy.hpp"
@@ -37,15 +38,27 @@ sim::McConfig cell_config(const sim::McConfig& config) {
 }
 
 RunResult evaluate_analytic_sr(const RunSpec& spec) {
+  // The deposit fields pick the game, so reject what no game accepts
+  // rather than silently solving another game under this spec's hash.
+  const double collateral = spec.mc.collateral;
+  const double premium = spec.mc.premium;
+  if (!(collateral >= 0.0) || !std::isfinite(collateral) ||
+      !(premium >= 0.0) || !std::isfinite(premium)) {
+    throw std::invalid_argument(
+        "analytic_sr: collateral and premium must be >= 0 and finite");
+  }
+  if (collateral > 0.0 && premium > 0.0) {
+    throw std::invalid_argument(
+        "analytic_sr: collateral and premium are exclusive mechanisms");
+  }
   RunResult result;
   const model::SwapParams& params = spec.mc.params;
-  if (spec.mc.collateral > 0.0) {
-    const model::CollateralGame game(params, spec.mc.p_star,
-                                     spec.mc.collateral);
+  if (collateral > 0.0) {
+    const model::CollateralGame game(params, spec.mc.p_star, collateral);
     result.set("sr", game.success_rate());
     result.set("initiated", game.engaged() ? 1.0 : 0.0);
-  } else if (spec.mc.premium > 0.0) {
-    const model::PremiumGame game(params, spec.mc.p_star, spec.mc.premium);
+  } else if (premium > 0.0) {
+    const model::PremiumGame game(params, spec.mc.p_star, premium);
     result.set("sr", game.success_rate());
     result.set("initiated",
                game.alice_decision_t1() == model::Action::kCont ? 1.0 : 0.0);

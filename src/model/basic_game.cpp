@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "math/gbm.hpp"
-#include "math/quadrature.hpp"
-#include "math/roots.hpp"
 #include "solver_cache.hpp"
-#include "timeline.hpp"
 
 namespace swapgame::model {
 
@@ -27,17 +22,12 @@ constexpr int kBandScanSamples = 2048;
 // cold-scan fallback.
 constexpr int kWarmVerifySamples = 257;
 
+constexpr RegionQuadrature kQuadrature{64, 1e-12};
+
 }  // namespace
 
 BasicGame::BasicGame(const SwapParams& params, double p_star)
-    : params_(params), p_star_(p_star) {
-  params_.validate();
-  if (!(p_star > 0.0) || !std::isfinite(p_star)) {
-    throw std::invalid_argument("BasicGame: p_star must be positive and finite");
-  }
-  compute_t3_cutoff();
-  compute_t2_region(nullptr);
-}
+    : BasicGame(params, p_star, {}) {}
 
 BasicGame::BasicGame(const SwapParams& params, double p_star,
                      const std::vector<double>& t2_root_hints)
@@ -46,44 +36,35 @@ BasicGame::BasicGame(const SwapParams& params, double p_star,
   if (!(p_star > 0.0) || !std::isfinite(p_star)) {
     throw std::invalid_argument("BasicGame: p_star must be positive and finite");
   }
-  compute_t3_cutoff();
-  compute_t2_region(&t2_root_hints);
+  t3_cutoff_ = stage::alice_t3_cutoff(params_, p_star_);
+  // Roots of g(p) = bob_t2_cont(p) - p.  In the paper's mu < r regime g < 0
+  // both as p -> 0 (token-b worthless, but Alice will not reveal either)
+  // and as p -> inf (Bob keeps the valuable token-b), so the cont region
+  // lies between two roots (Section III-E3).  With mu >= r Bob's refund
+  // branch outgrows his discounting and g > 0 near 0: the region extends
+  // down to zero with a single indifference point.
+  t2_ = solve_t2_region(
+      [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
+      std::max({p_star_, params_.p_t0, t3_cutoff_}), kBandScanSamples,
+      t2_root_hints, kWarmVerifySamples);
 }
 
 // ---------------------------------------------------------------- t3 stage
 
 double BasicGame::alice_t3_cont(double p_t3) const {
-  // Eq. (14): (1 + alpha^A) * E(P_t3, tau_b) * e^{-r^A tau_b}; Alice gets
-  // the token-b at t5 = t3 + tau_b.
-  const double mu = params_.gbm.mu;
-  return (1.0 + params_.alice.alpha) * p_t3 *
-         std::exp((mu - params_.alice.r) * params_.tau_b);
+  return stage::alice_t3_cont(params_, p_t3);
 }
 
 double BasicGame::alice_t3_stop() const {
-  // Eq. (16): token-a refunded at t8 = t3 + eps_b + 2 tau_a.
-  return p_star_ *
-         std::exp(-params_.alice.r * (params_.eps_b + 2.0 * params_.tau_a));
+  return stage::alice_t3_stop(params_, p_star_);
 }
 
 double BasicGame::bob_t3_cont() const {
-  // Eq. (15): Bob receives P_star token-a at t6 = t3 + eps_b + tau_a.
-  return (1.0 + params_.bob.alpha) * p_star_ *
-         std::exp(-params_.bob.r * (params_.eps_b + params_.tau_a));
+  return stage::bob_t3_cont(params_, p_star_);
 }
 
 double BasicGame::bob_t3_stop(double p_t3) const {
-  // Eq. (17): Bob's token-b refunded at t7 = t3 + 2 tau_b.
-  return p_t3 * std::exp((params_.gbm.mu - params_.bob.r) * 2.0 * params_.tau_b);
-}
-
-void BasicGame::compute_t3_cutoff() {
-  // Eq. (18).
-  const double rA = params_.alice.r;
-  const double mu = params_.gbm.mu;
-  t3_cutoff_ = std::exp((rA - mu) * params_.tau_b -
-                        rA * (params_.eps_b + 2.0 * params_.tau_a)) *
-               p_star_ / (1.0 + params_.alice.alpha);
+  return stage::bob_t3_stop(params_, p_t3);
 }
 
 Action BasicGame::alice_decision_t3(double p_t3) const {
@@ -94,122 +75,41 @@ Action BasicGame::alice_decision_t3(double p_t3) const {
 // ---------------------------------------------------------------- t2 stage
 
 double BasicGame::alice_t2_cont(double p_t2) const {
-  // Eq. (20): expectation of Alice's t3 value over the price law, then
-  // discounted one tau_b.  The integral over {x > cutoff} of x * pdf is the
-  // upper partial expectation (closed form).
-  // alice_t3_cont(x) is linear in x, so its integral against the density
-  // over (cutoff, inf) reduces to the upper partial expectation
-  // E[X 1{X > cutoff}].
-  const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
-  const double cont_part =
-      (1.0 + params_.alice.alpha) *
-      std::exp((params_.gbm.mu - params_.alice.r) * params_.tau_b) *
-      law.partial_expectation_above(L);
-  const double stop_part = law.cdf(L) * alice_t3_stop();
-  return (cont_part + stop_part) * std::exp(-params_.alice.r * params_.tau_b);
+  return stage::alice_t2_cont(params_, p_star_, t3_cutoff_, p_t2);
 }
 
 double BasicGame::alice_t2_stop() const {
-  // Eq. (22): refund at t8 = t2 + tau_b + eps_b + 2 tau_a.
-  return p_star_ * std::exp(-params_.alice.r *
-                            (params_.tau_b + params_.eps_b + 2.0 * params_.tau_a));
+  return stage::alice_t2_stop(params_, p_star_);
 }
 
 double BasicGame::bob_t2_cont(double p_t2) const {
-  // Eq. (21): with probability 1 - C(cutoff) Alice reveals and Bob gets
-  // bob_t3_cont(); otherwise Bob is refunded, worth bob_t3_stop(x) at the
-  // realized price x -- the integral of x pdf(x) over (0, cutoff) is the
-  // lower partial expectation.
-  const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
-  const double cont_part = law.survival(L) * bob_t3_cont();
-  const double stop_part =
-      std::exp((params_.gbm.mu - params_.bob.r) * 2.0 * params_.tau_b) *
-      law.partial_expectation_below(L);
-  return (cont_part + stop_part) * std::exp(-params_.bob.r * params_.tau_b);
+  return stage::bob_t2_cont(params_, p_star_, t3_cutoff_, p_t2);
 }
 
 double BasicGame::bob_t2_stop(double p_t2) const {
-  // Eq. (23): Bob keeps his token-b, worth P_t2 now.
-  return p_t2;
-}
-
-void BasicGame::compute_t2_region(const std::vector<double>* hints) {
-  // Roots of g(p) = bob_t2_cont(p) - p.  In the paper's mu < r regime g < 0
-  // both as p -> 0 (token-b worthless, but Alice will not reveal either)
-  // and as p -> inf (Bob keeps the valuable token-b), so the cont region
-  // lies between two roots (Section III-E3).  With mu >= r Bob's refund
-  // branch outgrows his discounting and g > 0 near 0: the region extends
-  // down to zero with a single indifference point.  The alternating-root
-  // construction handles both.
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
-    return bob_t2_cont(p) - bob_t2_stop(p);
-  };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.p_t0, t3_cutoff_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  std::optional<std::vector<double>> warm;
-  if (hints != nullptr && !hints->empty()) {
-    warm = math::find_all_roots_warm(gap, scan_lo, scan_hi, *hints,
-                                     kWarmVerifySamples);
-  }
-  t2_roots_ = warm ? std::move(*warm)
-                   : math::find_all_roots(gap, scan_lo, scan_hi,
-                                          kBandScanSamples);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      t2_roots_, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  // g < 0 at +inf always (stop grows linearly); an unbounded inside piece
-  // means the scan missed the last crossing -- trim defensively.
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
+  return stage::bob_t2_stop(p_t2);
 }
 
 std::optional<math::Interval> BasicGame::bob_t2_band() const noexcept {
-  if (t2_region_.size() != 1) return std::nullopt;
-  return t2_region_.intervals().front();
+  if (t2_.region.size() != 1) return std::nullopt;
+  return t2_.region.intervals().front();
 }
 
 Action BasicGame::bob_decision_t2(double p_t2) const {
   // Eq. (24).
-  return t2_region_.contains(p_t2) ? Action::kCont : Action::kStop;
+  return t2_.region.contains(p_t2) ? Action::kCont : Action::kStop;
 }
 
 // ---------------------------------------------------------------- t1 stage
 
 double BasicGame::alice_t1_cont() const {
-  return alice_t1_cont_cache_.get([this] { return compute_alice_t1_cont(); });
-}
-
-double BasicGame::compute_alice_t1_cont() const {
-  // Eq. (25): integrate Alice's t2 value over the tau_a price law (summed
-  // over the region's pieces; a single piece in the paper's regime).
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  double inside = 0.0;
-  double inside_prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * alice_t2_cont(x); }, lo,
-        iv.hi, 64);
-    inside_prob += law.cdf(iv.hi) - law.cdf(lo);
-  }
-  const double outside_prob = std::max(0.0, 1.0 - inside_prob);
-  return (inside + outside_prob * alice_t2_stop()) *
-         std::exp(-params_.alice.r * params_.tau_a);
+  // Eq. (25): Alice's t2 value inside Bob's region, her refund outside.
+  return alice_t1_cont_cache_.get([this] {
+    return t1_value(params_, t2_.region,
+                    [this](double x) { return alice_t2_cont(x); },
+                    OutsideValue::payoff(alice_t2_stop()), params_.alice.r,
+                    kQuadrature);
+  });
 }
 
 double BasicGame::alice_t1_stop() const {
@@ -218,26 +118,13 @@ double BasicGame::alice_t1_stop() const {
 }
 
 double BasicGame::bob_t1_cont() const {
-  return bob_t1_cont_cache_.get([this] { return compute_bob_t1_cont(); });
-}
-
-double BasicGame::compute_bob_t1_cont() const {
   // Eq. (26): inside the region Bob's t2 value is bob_t2_cont; outside he
-  // keeps token-b worth the realized price x.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  double inside = 0.0;
-  double inside_pe = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * bob_t2_cont(x); }, lo,
-        iv.hi, 64);
-    inside_pe += law.partial_expectation_below(iv.hi) -
-                 law.partial_expectation_below(lo);
-  }
-  const double outside = std::max(0.0, law.expectation() - inside_pe);
-  return (inside + outside) * std::exp(-params_.bob.r * params_.tau_a);
+  // keeps token-b worth the realized price.
+  return bob_t1_cont_cache_.get([this] {
+    return t1_value(params_, t2_.region,
+                    [this](double x) { return bob_t2_cont(x); },
+                    OutsideValue::token_b(), params_.bob.r, kQuadrature);
+  });
 }
 
 double BasicGame::bob_t1_stop() const {
@@ -253,39 +140,14 @@ Action BasicGame::alice_decision_t1() const {
 // ------------------------------------------------------------ success rate
 
 double BasicGame::success_rate() const {
-  return success_rate_cache_.get([this] { return compute_success_rate(); });
-}
-
-double BasicGame::compute_success_rate() const {
   // Eq. (31): P[P_t2 in region] weighted by P[Alice reveals at t3 | P_t2].
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    sr += math::gauss_legendre(
-        [this, &law_a, L](double x) {
-          const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        lo, iv.hi, 64);
-  }
-  return sr;
+  return success_rate_cache_.get([this] {
+    return region_success_rate(params_, t2_.region, t3_cutoff_, kQuadrature);
+  });
 }
 
 double BasicGame::bob_t2_cont_probability() const {
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  double prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    prob += std::isinf(iv.hi) ? law_a.survival(lo)
-                              : law_a.cdf(iv.hi) - law_a.cdf(lo);
-  }
-  return std::min(1.0, std::max(0.0, prob));
+  return region_mass(params_, t2_.region);
 }
 
 // ------------------------------------------------------------- free helpers
@@ -302,15 +164,8 @@ FeasibleBand alice_feasible_band(const SwapParams& params, double scan_lo,
     last_roots = game.t2_roots();
     return game.alice_t1_cont() - game.alice_t1_stop();
   };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  FeasibleBand band;
-  if (roots.size() >= 2) {
-    band.viable = true;
-    band.lo = roots.front();
-    band.hi = roots.back();
-  }
-  return band;
+  return feasible_band(acceptable_set(gap, scan_lo, scan_hi, scan_samples),
+                       scan_lo, scan_hi);
 }
 
 std::optional<OptimalRate> sr_maximizing_rate(const SwapParams& params,

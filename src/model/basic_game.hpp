@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "backward_induction.hpp"
 #include "math/cached_value.hpp"
 #include "math/interval.hpp"
 #include "params.hpp"
@@ -71,12 +72,12 @@ class BasicGame {
   /// (single indifference point), a case the paper's Table III defaults
   /// never reach.
   [[nodiscard]] const math::IntervalSet& bob_t2_region() const noexcept {
-    return t2_region_;
+    return t2_.region;
   }
   /// The sorted indifference roots defining bob_t2_region(); feed these to
   /// the warm-start constructor of a game at nearby parameters.
   [[nodiscard]] const std::vector<double>& t2_roots() const noexcept {
-    return t2_roots_;
+    return t2_.roots;
   }
   [[nodiscard]] Action bob_decision_t2(double p_t2) const;  ///< Eq. (24)
 
@@ -100,17 +101,10 @@ class BasicGame {
   [[nodiscard]] double bob_t2_cont_probability() const;
 
  private:
-  void compute_t3_cutoff();
-  void compute_t2_region(const std::vector<double>* hints);
-  [[nodiscard]] double compute_alice_t1_cont() const;
-  [[nodiscard]] double compute_bob_t1_cont() const;
-  [[nodiscard]] double compute_success_rate() const;
-
   SwapParams params_;
   double p_star_;
   double t3_cutoff_ = 0.0;
-  math::IntervalSet t2_region_;
-  std::vector<double> t2_roots_;
+  T2Region t2_;
   // Quadrature-backed t1 quantities, integrated once per game instance even
   // when the game is shared across Monte-Carlo samples or sweep threads.
   math::CachedDouble alice_t1_cont_cache_;
@@ -119,15 +113,8 @@ class BasicGame {
 };
 
 /// Alice's feasible exchange-rate band (P*_lo, P*_hi) at t1: the set of
-/// rates for which she initiates (Eq. (29) reports (1.5, 2.5) at Table III
-/// defaults).  Found by root-scanning alice_t1_cont(P*) - P* over
-/// [scan_lo, scan_hi].
-struct FeasibleBand {
-  bool viable = false;  ///< false when no rate makes Alice initiate
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
+/// rates for which she initiates.  Found by root-scanning
+/// alice_t1_cont(P*) - P* over [scan_lo, scan_hi].
 [[nodiscard]] FeasibleBand alice_feasible_band(const SwapParams& params,
                                                double scan_lo = 0.05,
                                                double scan_hi = 10.0,

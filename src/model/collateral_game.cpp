@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <limits>
-#include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
-#include "math/gbm.hpp"
-#include "math/quadrature.hpp"
-#include "math/roots.hpp"
+#include "solver_cache.hpp"
 
 namespace swapgame::model {
 
@@ -24,32 +17,39 @@ constexpr int kRegionScanSamples = 4096;
 // game's: the collateral gap can have 3 crossings, Fig. 7).
 constexpr int kWarmVerifySamples = 513;
 
+constexpr RegionQuadrature kQuadrature{48, 0.0};
+
 }  // namespace
 
 CollateralGame::CollateralGame(const SwapParams& params, double p_star,
                                double collateral)
-    : params_(params), p_star_(p_star), q_(collateral),
-      basic_(params, p_star) {
-  if (!(collateral >= 0.0) || !std::isfinite(collateral)) {
-    throw std::invalid_argument(
-        "CollateralGame: collateral must be >= 0 and finite");
-  }
-  compute_t3_cutoff();
-  compute_t2_region(nullptr);
-}
+    : CollateralGame(params, p_star, collateral, {}) {}
 
 CollateralGame::CollateralGame(const SwapParams& params, double p_star,
                                double collateral,
-                               const std::vector<double>& basic_t2_root_hints,
                                const std::vector<double>& t2_root_hints)
-    : params_(params), p_star_(p_star), q_(collateral),
-      basic_(params, p_star, basic_t2_root_hints) {
+    : params_(params), p_star_(p_star), q_(collateral) {
+  params_.validate();
+  if (!(p_star > 0.0) || !std::isfinite(p_star)) {
+    throw std::invalid_argument(
+        "CollateralGame: p_star must be positive and finite");
+  }
   if (!(collateral >= 0.0) || !std::isfinite(collateral)) {
     throw std::invalid_argument(
         "CollateralGame: collateral must be >= 0 and finite");
   }
-  compute_t3_cutoff();
-  compute_t2_region(&t2_root_hints);
+  t3_cutoff_ = stage::alice_t3_cutoff(params_, p_star_, alice_recovery());
+  // Roots of bob_t2_cont(p) - p.  With Q > 0 the gap is positive as p -> 0
+  // (recovering 2 discounted Q beats keeping a worthless token) and
+  // negative as p -> inf, so there is an odd number of crossings (Fig. 7).
+  t2_ = solve_t2_region(
+      [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
+      std::max({p_star_, params_.p_t0, t3_cutoff_, q_}), kRegionScanSamples,
+      t2_root_hints, kWarmVerifySamples);
+}
+
+double CollateralGame::alice_recovery() const {
+  return q_ * std::exp(-params_.alice.r * (params_.eps_b + params_.tau_a));
 }
 
 // ---------------------------------------------------------------- t3 stage
@@ -57,25 +57,11 @@ CollateralGame::CollateralGame(const SwapParams& params, double p_star,
 double CollateralGame::alice_t3_cont(double p_t3) const {
   // Basic cont utility plus the collateral recovered at t4 + tau_a, i.e.
   // eps_b + tau_a after t3 (Section IV-2).
-  return basic_.alice_t3_cont(p_t3) +
-         q_ * std::exp(-params_.alice.r * (params_.eps_b + params_.tau_a));
+  return stage::alice_t3_cont(params_, p_t3) + alice_recovery();
 }
 
-double CollateralGame::alice_t3_stop() const { return basic_.alice_t3_stop(); }
-
-void CollateralGame::compute_t3_cutoff() {
-  // Eq. (34): the basic cutoff shifted down by the collateral recovery and
-  // clamped at zero (when the recovery alone exceeds the refund value,
-  // Alice reveals at any price).
-  const double rA = params_.alice.r;
-  const double mu = params_.gbm.mu;
-  const double refund = p_star_ * std::exp(-rA * (params_.eps_b + 2.0 * params_.tau_a));
-  const double recovery = q_ * std::exp(-rA * (params_.eps_b + params_.tau_a));
-  const double shifted = refund - recovery;
-  t3_cutoff_ = shifted <= 0.0
-                   ? 0.0
-                   : std::exp((rA - mu) * params_.tau_b) * shifted /
-                         (1.0 + params_.alice.alpha);
+double CollateralGame::alice_t3_stop() const {
+  return stage::alice_t3_stop(params_, p_star_);
 }
 
 Action CollateralGame::alice_decision_t3(double p_t3) const {
@@ -88,117 +74,46 @@ double CollateralGame::alice_t2_cont(double p_t2) const {
   // Eq. (36)'s integrand value: Alice's expected t3 value when Bob locked.
   // On the reveal branch she also recovers her collateral; on the waive
   // branch she forfeits it.
-  const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
-  const double recovery =
-      q_ * std::exp(-params_.alice.r * (params_.eps_b + params_.tau_a));
-  const double cont_part =
-      (1.0 + params_.alice.alpha) *
-          std::exp((params_.gbm.mu - params_.alice.r) * params_.tau_b) *
-          law.partial_expectation_above(L) +
-      law.survival(L) * recovery;
-  const double stop_part = law.cdf(L) * basic_.alice_t3_stop();
-  return (cont_part + stop_part) * std::exp(-params_.alice.r * params_.tau_b);
+  return stage::alice_t2_cont(params_, p_star_, t3_cutoff_, p_t2,
+                              alice_recovery());
 }
 
 double CollateralGame::bob_t2_cont(double p_t2) const {
   // Eq. (35): Bob's own collateral comes back at t3 + tau_a regardless
   // (he has fulfilled his obligations by locking); if Alice waives he
   // additionally receives her forfeited collateral at t4 + tau_a.
-  const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
-  const double own_recovery = q_ * std::exp(-params_.bob.r * params_.tau_a);
-  const double forfeit_gain =
-      q_ * std::exp(-params_.bob.r * (params_.eps_b + params_.tau_a));
-  const double cont_part = law.survival(L) * basic_.bob_t3_cont();
-  const double stop_part =
-      std::exp((params_.gbm.mu - params_.bob.r) * 2.0 * params_.tau_b) *
-          law.partial_expectation_below(L) +
-      law.cdf(L) * forfeit_gain;
-  return (own_recovery + cont_part + stop_part) *
-         std::exp(-params_.bob.r * params_.tau_b);
+  const double rB = params_.bob.r;
+  return stage::bob_t2_cont(
+      params_, p_star_, t3_cutoff_, p_t2,
+      {.on_lock = q_ * std::exp(-rB * params_.tau_a),
+       .on_waive = q_ * std::exp(-rB * (params_.eps_b + params_.tau_a))});
 }
 
 double CollateralGame::bob_t2_stop(double p_t2) const {
   // Eq. (23): stopping forfeits Bob's collateral (released to Alice), so
   // his stop utility is just the token-b value.
-  return p_t2;
-}
-
-void CollateralGame::compute_t2_region(const std::vector<double>* hints) {
-  // Roots of bob_t2_cont(p) - p.  With Q > 0 the gap is positive as p -> 0
-  // (recovering 2 discounted Q beats keeping a worthless token) and
-  // negative as p -> inf, so there is an odd number of crossings (Fig. 7).
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
-    return bob_t2_cont(p) - bob_t2_stop(p);
-  };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.p_t0, t3_cutoff_, q_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  std::optional<std::vector<double>> warm;
-  if (hints != nullptr && !hints->empty()) {
-    warm = math::find_all_roots_warm(gap, scan_lo, scan_hi, *hints,
-                                     kWarmVerifySamples);
-  }
-  t2_roots_ = warm ? std::move(*warm)
-                   : math::find_all_roots(gap, scan_lo, scan_hi,
-                                          kRegionScanSamples);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      t2_roots_, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  // The unbounded last piece is "inside" only if the gap is positive there;
-  // with an even root count and starts_inside (or odd and !starts_inside)
-  // the alternation already encodes that, and the gap is always negative at
-  // +inf, so the final piece can only be inside if the root scan missed a
-  // crossing beyond scan_hi.  Guard by trimming an unbounded inside piece
-  // at scan_hi (tests assert this never fires at paper-scale parameters).
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
+  return stage::bob_t2_stop(p_t2);
 }
 
 Action CollateralGame::bob_decision_t2(double p_t2) const {
-  return t2_region_.contains(p_t2) ? Action::kCont : Action::kStop;
+  return t2_.region.contains(p_t2) ? Action::kCont : Action::kStop;
 }
 
 // ---------------------------------------------------------------- t1 stage
 
 double CollateralGame::alice_t1_cont() const {
-  return alice_t1_cont_cache_.get([this] { return compute_alice_t1_cont(); });
-}
-
-double CollateralGame::compute_alice_t1_cont() const {
   // Eq. (36).  Where Bob will lock, Alice's value is alice_t2_cont; where
   // Bob will stop, Alice is refunded (Eq. 22) and receives both collaterals
   // 2Q at t3 (decided) + tau_a (confirmation), i.e. tau_b + tau_a after t2.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  const double stop_value =
-      basic_.alice_t2_stop() +
-      2.0 * q_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
-  const auto piece = [this, &law](double lo, double hi) {
-    return math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * alice_t2_cont(x); }, lo,
-        hi, 48);
-  };
-  double inside = 0.0;
-  double inside_prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += piece(iv.lo, iv.hi);
-    inside_prob += law.cdf(iv.hi) - law.cdf(iv.lo);
-  }
-  const double outside_prob = std::max(0.0, 1.0 - inside_prob);
-  return (inside + outside_prob * stop_value) *
-         std::exp(-params_.alice.r * params_.tau_a);
+  return alice_t1_cont_cache_.get([this] {
+    const double stop_value =
+        stage::alice_t2_stop(params_, p_star_) +
+        2.0 * q_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
+    return t1_value(params_, t2_.region,
+                    [this](double x) { return alice_t2_cont(x); },
+                    OutsideValue::payoff(stop_value), params_.alice.r,
+                    kQuadrature);
+  });
 }
 
 double CollateralGame::alice_t1_stop() const {
@@ -207,28 +122,14 @@ double CollateralGame::alice_t1_stop() const {
 }
 
 double CollateralGame::bob_t1_cont() const {
-  return bob_t1_cont_cache_.get([this] { return compute_bob_t1_cont(); });
-}
-
-double CollateralGame::compute_bob_t1_cont() const {
   // Eq. (37) (with the r^A typo read as r^B; see DESIGN.md): inside the
   // region Bob's value is bob_t2_cont; outside he keeps token-b worth the
   // realized price and forfeits his collateral.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  const auto piece = [this, &law](double lo, double hi) {
-    return math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * bob_t2_cont(x); }, lo, hi,
-        48);
-  };
-  double inside = 0.0;
-  double inside_pe = 0.0;  // partial expectation over the region
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += piece(iv.lo, iv.hi);
-    inside_pe += law.partial_expectation_below(iv.hi) -
-                 law.partial_expectation_below(iv.lo);
-  }
-  const double outside = std::max(0.0, law.expectation() - inside_pe);
-  return (inside + outside) * std::exp(-params_.bob.r * params_.tau_a);
+  return bob_t1_cont_cache_.get([this] {
+    return t1_value(params_, t2_.region,
+                    [this](double x) { return bob_t2_cont(x); },
+                    OutsideValue::token_b(), params_.bob.r, kQuadrature);
+  });
 }
 
 double CollateralGame::bob_t1_stop() const {
@@ -252,42 +153,14 @@ bool CollateralGame::engaged() const {
 // ------------------------------------------------------------ success rate
 
 double CollateralGame::success_rate() const {
-  return success_rate_cache_.get([this] { return compute_success_rate(); });
-}
-
-double CollateralGame::compute_success_rate() const {
   // Eq. (40): integrate Alice's reveal probability over Bob's t2 region.
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    if (L == 0.0) {
-      // Alice always reveals: the inner survival factor is 1.
-      sr += law_a.cdf(iv.hi) - law_a.cdf(iv.lo);
-      continue;
-    }
-    sr += math::gauss_legendre(
-        [this, &law_a, L](double x) {
-          const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        iv.lo, iv.hi, 48);
-  }
-  return sr;
+  return success_rate_cache_.get([this] {
+    return region_success_rate(params_, t2_.region, t3_cutoff_, kQuadrature);
+  });
 }
 
 double CollateralGame::bob_t2_cont_probability() const {
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  double prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    prob += std::isinf(iv.hi) ? law_a.survival(lo)
-                              : law_a.cdf(iv.hi) - law_a.cdf(lo);
-  }
-  return std::min(1.0, std::max(0.0, prob));
+  return region_mass(params_, t2_.region);
 }
 
 // ------------------------------------------------------------- free helpers
@@ -295,45 +168,24 @@ double CollateralGame::bob_t2_cont_probability() const {
 CollateralViability collateral_viable_rates(const SwapParams& params,
                                             double collateral, double scan_lo,
                                             double scan_hi, int scan_samples) {
-  params.validate();
   // Alice's and Bob's gap functions are scanned over the same P* grid, and
   // consecutive evaluations sit close together: share one warm-chained,
   // memoized game per P* so each (P*, Q) is solved exactly once across both
-  // scans instead of cold twice.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const CollateralGame>>
-      memo;
-  std::vector<double> last_basic_roots;
-  std::vector<double> last_roots;
-  const auto game_at = [&](double p_star) {
-    std::uint64_t key = 0;
-    static_assert(sizeof(key) == sizeof(p_star));
-    std::memcpy(&key, &p_star, sizeof(key));
-    if (const auto it = memo.find(key); it != memo.end()) return it->second;
-    auto g = std::make_shared<const CollateralGame>(
-        params, p_star, collateral, last_basic_roots, last_roots);
-    last_basic_roots = g->basic().t2_roots();
-    last_roots = g->t2_roots();
-    memo.emplace(key, g);
-    return g;
-  };
-  const auto alice_gap = [&](double p_star) {
-    const auto g = game_at(p_star);
-    return g->alice_t1_cont() - g->alice_t1_stop();
-  };
-  const auto bob_gap = [&](double p_star) {
-    const auto g = game_at(p_star);
-    return g->bob_t1_cont() - g->bob_t1_stop();
-  };
-  const std::vector<double> a_roots =
-      math::find_all_roots(alice_gap, scan_lo, scan_hi, scan_samples);
-  const std::vector<double> b_roots =
-      math::find_all_roots(bob_gap, scan_lo, scan_hi, scan_samples);
-
+  // scans instead of cold twice.  The sweeper validates params.
+  CollateralGameSweeper sweeper(params);
   CollateralViability v;
-  v.alice = math::IntervalSet::from_alternating_roots(
-      a_roots, scan_lo, scan_hi, alice_gap(scan_lo) > 0.0);
-  v.bob = math::IntervalSet::from_alternating_roots(
-      b_roots, scan_lo, scan_hi, bob_gap(scan_lo) > 0.0);
+  v.alice = acceptable_set(
+      [&](double p_star) {
+        const auto g = sweeper.at(p_star, collateral);
+        return g->alice_t1_cont() - g->alice_t1_stop();
+      },
+      scan_lo, scan_hi, scan_samples);
+  v.bob = acceptable_set(
+      [&](double p_star) {
+        const auto g = sweeper.at(p_star, collateral);
+        return g->bob_t1_cont() - g->bob_t1_stop();
+      },
+      scan_lo, scan_hi, scan_samples);
   v.both = v.alice.intersect(v.bob);
   return v;
 }

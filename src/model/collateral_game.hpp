@@ -22,7 +22,7 @@
 #include <optional>
 #include <vector>
 
-#include "basic_game.hpp"
+#include "backward_induction.hpp"
 #include "math/cached_value.hpp"
 #include "math/interval.hpp"
 #include "params.hpp"
@@ -32,26 +32,22 @@ namespace swapgame::model {
 /// Backward induction for the collateralized game at one (params, P_star, Q).
 class CollateralGame {
  public:
-  /// @throws std::invalid_argument on invalid params, p_star <= 0 or Q < 0.
+  /// @throws std::invalid_argument on invalid params, p_star <= 0 or
+  /// non-finite, or Q < 0 or non-finite.
   CollateralGame(const SwapParams& params, double p_star, double collateral);
 
   /// Warm-started construction for parameter sweeps: hints are the
-  /// t2-region roots of the embedded basic game and of this game at nearby
-  /// parameters (see t2_roots()).  Hints only accelerate root isolation --
-  /// every hinted root is re-polished on this game's own indifference
-  /// function and structurally verified, with a cold-scan fallback -- so
-  /// results agree with the cold constructor to solver tolerance (~1e-12).
+  /// t2-region roots of this game at nearby parameters (see t2_roots()).
+  /// Hints only accelerate root isolation -- every hinted root is
+  /// re-polished on this game's own indifference function and structurally
+  /// verified, with a cold-scan fallback -- so results agree with the cold
+  /// constructor to solver tolerance (~1e-12).
   CollateralGame(const SwapParams& params, double p_star, double collateral,
-                 const std::vector<double>& basic_t2_root_hints,
                  const std::vector<double>& t2_root_hints);
 
   [[nodiscard]] const SwapParams& params() const noexcept { return params_; }
   [[nodiscard]] double p_star() const noexcept { return p_star_; }
   [[nodiscard]] double collateral() const noexcept { return q_; }
-
-  /// The embedded basic game (Q = 0 reference; also supplies the unchanged
-  /// stage utilities Eq. (16), (23)).
-  [[nodiscard]] const BasicGame& basic() const noexcept { return basic_; }
 
   // --- t3: Alice's reveal decision (Eqs. (33)/(34)). -----------------------
   /// Alice's cont utility including her collateral recovery at t4 + tau_a.
@@ -69,12 +65,12 @@ class CollateralGame {
   /// Bob's continuation region, a union of at most two intervals
   /// (odd number of indifference points; Fig. 7).
   [[nodiscard]] const math::IntervalSet& bob_t2_region() const noexcept {
-    return t2_region_;
+    return t2_.region;
   }
   /// The sorted indifference roots defining bob_t2_region(); feed these to
   /// the warm-start constructor of a game at nearby parameters.
   [[nodiscard]] const std::vector<double>& t2_roots() const noexcept {
-    return t2_roots_;
+    return t2_.roots;
   }
   [[nodiscard]] Action bob_decision_t2(double p_t2) const;
 
@@ -98,19 +94,14 @@ class CollateralGame {
   [[nodiscard]] double bob_t2_cont_probability() const;
 
  private:
-  void compute_t3_cutoff();
-  void compute_t2_region(const std::vector<double>* hints);
-  [[nodiscard]] double compute_alice_t1_cont() const;
-  [[nodiscard]] double compute_bob_t1_cont() const;
-  [[nodiscard]] double compute_success_rate() const;
+  /// Alice's collateral, recovered eps_b + tau_a after revealing at t3.
+  [[nodiscard]] double alice_recovery() const;
 
   SwapParams params_;
   double p_star_;
   double q_;
-  BasicGame basic_;
   double t3_cutoff_ = 0.0;
-  math::IntervalSet t2_region_;
-  std::vector<double> t2_roots_;
+  T2Region t2_;
   // Quadrature-backed t1 quantities, integrated once per game instance even
   // when the game is shared across Monte-Carlo samples or sweep threads.
   math::CachedDouble alice_t1_cont_cache_;

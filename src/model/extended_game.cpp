@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-#include <vector>
 
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
 
 namespace swapgame::model {
+
+namespace {
+
+constexpr int kScanSamples = 2048;
+
+constexpr RegionQuadrature kQuadrature{64, 1e-12};
+
+}  // namespace
 
 void TokenRates::validate() const {
   if (!std::isfinite(r_a) || !(r_a > 0.0) || !std::isfinite(r_b) ||
@@ -44,7 +49,11 @@ ExtendedGame::ExtendedGame(const ExtendedParams& params, double p_star)
     throw std::invalid_argument("ExtendedGame: p_star must be positive");
   }
   compute_t3_cutoff();
-  compute_t2_region();
+  t2_region_ =
+      solve_t2_region(
+          [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
+          std::max({p_star_, params_.base.p_t0, t3_cutoff_}), kScanSamples)
+          .region;
 }
 
 // ---------------------------------------------------------------- t3 stage
@@ -97,33 +106,6 @@ double ExtendedGame::bob_t2_cont(double p_t2) const {
 
 double ExtendedGame::bob_t2_stop(double p_t2) const { return p_t2; }
 
-void ExtendedGame::compute_t2_region() {
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
-    return bob_t2_cont(p) - bob_t2_stop(p);
-  };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.base.p_t0, t3_cutoff_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, 2048);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      roots, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
-}
-
 std::optional<math::Interval> ExtendedGame::bob_t2_band() const noexcept {
   if (t2_region_.size() != 1) return std::nullopt;
   return t2_region_.intervals().front();
@@ -143,24 +125,19 @@ double ExtendedGame::alice_t1_cont() const {
   const double L = t3_cutoff_;
   const double refund_time = 3.0 * b.tau_a + b.tau_b + b.eps_b;  // t8 - t1
 
-  double reveal_pe = 0.0;    // int pdf_a(x) PE_above_x(L) dx over the region
-  double reveal_prob = 0.0;  // int pdf_a(x) survival_x(L) dx over the region
+  double reveal_pe = 0.0;  // int pdf_a(x) PE_above_x(L) dx over the region
   for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
+    const double lo = std::max(iv.lo, kQuadrature.lo_clamp);
     if (!(iv.hi > lo)) continue;
     reveal_pe += math::gauss_legendre(
         [&](double x) {
           const math::GbmLaw law_b(b.gbm, x, b.tau_b);
           return law_a.pdf(x) * law_b.partial_expectation_above(L);
         },
-        lo, iv.hi, 64);
-    reveal_prob += math::gauss_legendre(
-        [&](double x) {
-          const math::GbmLaw law_b(b.gbm, x, b.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        lo, iv.hi, 64);
+        lo, iv.hi, kQuadrature.panels);
   }
+  // int pdf_a(x) survival_x(L) dx over the region: the success rate.
+  const double reveal_prob = success_rate();
 
   const double token_b_value =
       (1.0 + b.alice.alpha) * reveal_pe *
@@ -184,22 +161,8 @@ Action ExtendedGame::alice_decision_t1() const {
 // ------------------------------------------------------------ success rate
 
 double ExtendedGame::success_rate() const {
-  if (t2_region_.empty()) return 0.0;
-  const SwapParams& b = params_.base;
-  const math::GbmLaw law_a(b.gbm, b.p_t0, b.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    sr += math::gauss_legendre(
-        [&](double x) {
-          const math::GbmLaw law_b(b.gbm, x, b.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        lo, iv.hi, 64);
-  }
-  return sr;
+  return region_success_rate(params_.base, t2_region_, t3_cutoff_,
+                             kQuadrature);
 }
 
 // ------------------------------------------------------------- free helpers
@@ -212,15 +175,8 @@ FeasibleBand extended_feasible_band(const ExtendedParams& params,
     const ExtendedGame game(params, p_star);
     return game.alice_t1_cont() - game.alice_t1_stop();
   };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  FeasibleBand band;
-  if (roots.size() >= 2) {
-    band.viable = true;
-    band.lo = roots.front();
-    band.hi = roots.back();
-  }
-  return band;
+  return feasible_band(acceptable_set(gap, scan_lo, scan_hi, scan_samples),
+                       scan_lo, scan_hi);
 }
 
 }  // namespace swapgame::model

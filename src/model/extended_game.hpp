@@ -90,7 +90,6 @@ class ExtendedGame {
 
  private:
   void compute_t3_cutoff();
-  void compute_t2_region();
 
   ExtendedParams params_;
   double p_star_;

@@ -1,13 +1,10 @@
 #include "negotiation.hpp"
 
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
-#include "math/roots.hpp"
+#include "backward_induction.hpp"
 #include "solver_cache.hpp"
 
 namespace swapgame::model {
@@ -23,19 +20,6 @@ const char* to_string(BargainingRule rule) noexcept {
   }
   return "unknown";
 }
-
-namespace {
-
-math::IntervalSet acceptable_set(const std::function<double(double)>& gap,
-                                 double scan_lo, double scan_hi,
-                                 int scan_samples) {
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  return math::IntervalSet::from_alternating_roots(roots, scan_lo, scan_hi,
-                                                   gap(scan_lo) > 0.0);
-}
-
-}  // namespace
 
 NegotiationResult negotiate_rate(const SwapParams& params, BargainingRule rule,
                                  double scan_lo, double scan_hi,

@@ -2,13 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-#include <vector>
-
-#include "math/gbm.hpp"
-#include "math/quadrature.hpp"
-#include "math/roots.hpp"
 
 namespace swapgame::model {
 
@@ -16,16 +10,32 @@ namespace {
 
 constexpr int kRegionScanSamples = 4096;
 
+constexpr RegionQuadrature kQuadrature{48, 0.0};
+
 }  // namespace
 
 PremiumGame::PremiumGame(const SwapParams& params, double p_star,
                          double premium)
-    : params_(params), p_star_(p_star), pr_(premium), basic_(params, p_star) {
+    : params_(params), p_star_(p_star), pr_(premium) {
+  params_.validate();
+  if (!(p_star > 0.0) || !std::isfinite(p_star)) {
+    throw std::invalid_argument(
+        "PremiumGame: p_star must be positive and finite");
+  }
   if (!(premium >= 0.0) || !std::isfinite(premium)) {
     throw std::invalid_argument("PremiumGame: premium must be >= 0 and finite");
   }
-  compute_t3_cutoff();
-  compute_t2_region();
+  t3_cutoff_ = stage::alice_t3_cutoff(params_, p_star_, alice_recovery());
+  t2_region_ =
+      solve_t2_region(
+          [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
+          std::max({p_star_, params_.p_t0, t3_cutoff_, pr_}),
+          kRegionScanSamples)
+          .region;
+}
+
+double PremiumGame::alice_recovery() const {
+  return pr_ * std::exp(-params_.alice.r * params_.tau_a);
 }
 
 // ---------------------------------------------------------------- t3 stage
@@ -33,32 +43,22 @@ PremiumGame::PremiumGame(const SwapParams& params, double p_star,
 double PremiumGame::alice_t3_cont(double p_t3) const {
   // Reveal + immediately claim the escrow on Chain_a: the claim confirms
   // tau_a after t3.
-  return basic_.alice_t3_cont(p_t3) +
-         pr_ * std::exp(-params_.alice.r * params_.tau_a);
+  return stage::alice_t3_cont(params_, p_t3) + alice_recovery();
 }
 
-double PremiumGame::alice_t3_stop() const { return basic_.alice_t3_stop(); }
+double PremiumGame::alice_t3_stop() const {
+  return stage::alice_t3_stop(params_, p_star_);
+}
 
-double PremiumGame::bob_t3_cont() const { return basic_.bob_t3_cont(); }
+double PremiumGame::bob_t3_cont() const {
+  return stage::bob_t3_cont(params_, p_star_);
+}
 
 double PremiumGame::bob_t3_stop(double p_t3) const {
   // The escrow times out at t_a = t3 + eps_b + tau_a and pays Bob tau_a
   // later, i.e. eps_b + 2 tau_a after t3.
-  return basic_.bob_t3_stop(p_t3) +
+  return stage::bob_t3_stop(params_, p_t3) +
          pr_ * std::exp(-params_.bob.r * (params_.eps_b + 2.0 * params_.tau_a));
-}
-
-void PremiumGame::compute_t3_cutoff() {
-  const double rA = params_.alice.r;
-  const double mu = params_.gbm.mu;
-  const double refund =
-      p_star_ * std::exp(-rA * (params_.eps_b + 2.0 * params_.tau_a));
-  const double recovery = pr_ * std::exp(-rA * params_.tau_a);
-  const double shifted = refund - recovery;
-  t3_cutoff_ = shifted <= 0.0
-                   ? 0.0
-                   : std::exp((rA - mu) * params_.tau_b) * shifted /
-                         (1.0 + params_.alice.alpha);
 }
 
 Action PremiumGame::alice_decision_t3(double p_t3) const {
@@ -68,62 +68,22 @@ Action PremiumGame::alice_decision_t3(double p_t3) const {
 // ---------------------------------------------------------------- t2 stage
 
 double PremiumGame::alice_t2_cont(double p_t2) const {
-  const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
-  const double recovery = pr_ * std::exp(-params_.alice.r * params_.tau_a);
-  const double cont_part =
-      (1.0 + params_.alice.alpha) *
-          std::exp((params_.gbm.mu - params_.alice.r) * params_.tau_b) *
-          law.partial_expectation_above(L) +
-      law.survival(L) * recovery;
-  const double stop_part = law.cdf(L) * basic_.alice_t3_stop();
-  return (cont_part + stop_part) * std::exp(-params_.alice.r * params_.tau_b);
+  return stage::alice_t2_cont(params_, p_star_, t3_cutoff_, p_t2,
+                              alice_recovery());
 }
 
 double PremiumGame::bob_t2_cont(double p_t2) const {
-  const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double L = t3_cutoff_;
-  const double premium_gain =
-      pr_ * std::exp(-params_.bob.r * (params_.eps_b + 2.0 * params_.tau_a));
-  const double cont_part = law.survival(L) * basic_.bob_t3_cont();
-  const double stop_part =
-      std::exp((params_.gbm.mu - params_.bob.r) * 2.0 * params_.tau_b) *
-          law.partial_expectation_below(L) +
-      law.cdf(L) * premium_gain;
-  return (cont_part + stop_part) * std::exp(-params_.bob.r * params_.tau_b);
+  // If Alice waives, the escrow pays Bob eps_b + 2 tau_a after t3.
+  return stage::bob_t2_cont(
+      params_, p_star_, t3_cutoff_, p_t2,
+      {.on_waive = pr_ * std::exp(-params_.bob.r *
+                                  (params_.eps_b + 2.0 * params_.tau_a))});
 }
 
 double PremiumGame::bob_t2_stop(double p_t2) const {
   // Bob walks; the escrow is cancelled back to Alice, so Bob just keeps his
   // token-b (Eq. 23).
-  return p_t2;
-}
-
-void PremiumGame::compute_t2_region() {
-  // Strict-preference tie-break: cont must beat stop by a scale-relative
-  // margin.  Guards against the degenerate mu == r_B regime where the gap
-  // is identically zero near p = 0 and floating-point dither would
-  // otherwise fabricate spurious crossings.
-  const auto raw_gap = [this](double p) {
-    return bob_t2_cont(p) - bob_t2_stop(p);
-  };
-  const double scan_hi =
-      10.0 * std::max({p_star_, params_.p_t0, t3_cutoff_, pr_});
-  // Scale-relative lower scan bound: keeps the grid resolution
-  // proportional to the price scale (scale-invariance tests pin this).
-  const double scan_lo = 1e-7 * scan_hi;
-  const double tie = 1e-10 * scan_hi;
-  const auto gap = [&raw_gap, tie](double p) { return raw_gap(p) - tie; };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, kRegionScanSamples);
-  const bool starts_inside = gap(scan_lo) > 0.0;
-  t2_region_ = math::IntervalSet::from_alternating_roots(
-      roots, 0.0, std::numeric_limits<double>::infinity(), starts_inside);
-  if (!t2_region_.empty() && std::isinf(t2_region_.intervals().back().hi)) {
-    std::vector<math::Interval> trimmed = t2_region_.intervals();
-    trimmed.back().hi = scan_hi;
-    t2_region_ = math::IntervalSet(std::move(trimmed));
-  }
+  return stage::bob_t2_stop(p_t2);
 }
 
 Action PremiumGame::bob_decision_t2(double p_t2) const {
@@ -133,48 +93,27 @@ Action PremiumGame::bob_decision_t2(double p_t2) const {
 // ---------------------------------------------------------------- t1 stage
 
 double PremiumGame::alice_t1_cont() const {
-  return alice_t1_cont_cache_.get([this] { return compute_alice_t1_cont(); });
-}
-
-double PremiumGame::compute_alice_t1_cont() const {
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
   // If Bob stops at t2 the escrow is cancelled at t3 and Alice receives her
   // premium back tau_a later, i.e. tau_b + tau_a after t2.
-  const double stop_value =
-      basic_.alice_t2_stop() +
-      pr_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
-  double inside = 0.0;
-  double inside_prob = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * alice_t2_cont(x); },
-        iv.lo, iv.hi, 48);
-    inside_prob += law.cdf(iv.hi) - law.cdf(iv.lo);
-  }
-  const double outside_prob = std::max(0.0, 1.0 - inside_prob);
-  return (inside + outside_prob * stop_value) *
-         std::exp(-params_.alice.r * params_.tau_a);
+  return alice_t1_cont_cache_.get([this] {
+    const double stop_value =
+        stage::alice_t2_stop(params_, p_star_) +
+        pr_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
+    return t1_value(params_, t2_region_,
+                    [this](double x) { return alice_t2_cont(x); },
+                    OutsideValue::payoff(stop_value), params_.alice.r,
+                    kQuadrature);
+  });
 }
 
 double PremiumGame::alice_t1_stop() const { return p_star_ + pr_; }
 
 double PremiumGame::bob_t1_cont() const {
-  return bob_t1_cont_cache_.get([this] { return compute_bob_t1_cont(); });
-}
-
-double PremiumGame::compute_bob_t1_cont() const {
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  double inside = 0.0;
-  double inside_pe = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    inside += math::gauss_legendre(
-        [this, &law](double x) { return law.pdf(x) * bob_t2_cont(x); }, iv.lo,
-        iv.hi, 48);
-    inside_pe += law.partial_expectation_below(iv.hi) -
-                 law.partial_expectation_below(iv.lo);
-  }
-  const double outside = std::max(0.0, law.expectation() - inside_pe);
-  return (inside + outside) * std::exp(-params_.bob.r * params_.tau_a);
+  return bob_t1_cont_cache_.get([this] {
+    return t1_value(params_, t2_region_,
+                    [this](double x) { return bob_t2_cont(x); },
+                    OutsideValue::token_b(), params_.bob.r, kQuadrature);
+  });
 }
 
 double PremiumGame::bob_t1_stop() const { return params_.p_t0; }
@@ -186,27 +125,9 @@ Action PremiumGame::alice_decision_t1() const {
 // ------------------------------------------------------------ success rate
 
 double PremiumGame::success_rate() const {
-  return success_rate_cache_.get([this] { return compute_success_rate(); });
-}
-
-double PremiumGame::compute_success_rate() const {
-  if (t2_region_.empty()) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = t3_cutoff_;
-  double sr = 0.0;
-  for (const math::Interval& iv : t2_region_.intervals()) {
-    if (L == 0.0) {
-      sr += law_a.cdf(iv.hi) - law_a.cdf(iv.lo);
-      continue;
-    }
-    sr += math::gauss_legendre(
-        [this, &law_a, L](double x) {
-          const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-          return law_a.pdf(x) * law_b.survival(L);
-        },
-        iv.lo, iv.hi, 48);
-  }
-  return sr;
+  return success_rate_cache_.get([this] {
+    return region_success_rate(params_, t2_region_, t3_cutoff_, kQuadrature);
+  });
 }
 
 // ------------------------------------------------------------- free helpers
@@ -215,14 +136,12 @@ math::IntervalSet premium_viable_rates(const SwapParams& params,
                                        double premium, double scan_lo,
                                        double scan_hi, int scan_samples) {
   params.validate();
-  const auto gap = [&](double p_star) {
-    const PremiumGame g(params, p_star, premium);
-    return g.alice_t1_cont() - g.alice_t1_stop();
-  };
-  const std::vector<double> roots =
-      math::find_all_roots(gap, scan_lo, scan_hi, scan_samples);
-  return math::IntervalSet::from_alternating_roots(roots, scan_lo, scan_hi,
-                                                   gap(scan_lo) > 0.0);
+  return acceptable_set(
+      [&](double p_star) {
+        const PremiumGame g(params, p_star, premium);
+        return g.alice_t1_cont() - g.alice_t1_stop();
+      },
+      scan_lo, scan_hi, scan_samples);
 }
 
 }  // namespace swapgame::model

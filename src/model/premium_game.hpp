@@ -22,7 +22,7 @@
 // harvests the premium.
 #pragma once
 
-#include "basic_game.hpp"
+#include "backward_induction.hpp"
 #include "math/cached_value.hpp"
 #include "math/interval.hpp"
 #include "params.hpp"
@@ -32,13 +32,13 @@ namespace swapgame::model {
 /// Backward induction for the premium game at one (params, P_star, pr).
 class PremiumGame {
  public:
-  /// @throws std::invalid_argument on invalid params, p_star <= 0, pr < 0.
+  /// @throws std::invalid_argument on invalid params, p_star <= 0 or
+  /// non-finite, or pr < 0 or non-finite.
   PremiumGame(const SwapParams& params, double p_star, double premium);
 
   [[nodiscard]] const SwapParams& params() const noexcept { return params_; }
   [[nodiscard]] double p_star() const noexcept { return p_star_; }
   [[nodiscard]] double premium() const noexcept { return pr_; }
-  [[nodiscard]] const BasicGame& basic() const noexcept { return basic_; }
 
   // --- t3: Alice's reveal decision. ----------------------------------------
   /// Cont recovers the premium (claim confirms tau_a after t3).
@@ -70,16 +70,12 @@ class PremiumGame {
   [[nodiscard]] double success_rate() const;
 
  private:
-  void compute_t3_cutoff();
-  void compute_t2_region();
-  [[nodiscard]] double compute_alice_t1_cont() const;
-  [[nodiscard]] double compute_bob_t1_cont() const;
-  [[nodiscard]] double compute_success_rate() const;
+  /// The premium, recovered tau_a after revealing at t3.
+  [[nodiscard]] double alice_recovery() const;
 
   SwapParams params_;
   double p_star_;
   double pr_;
-  BasicGame basic_;
   double t3_cutoff_ = 0.0;
   math::IntervalSet t2_region_;
   // Quadrature-backed t1 quantities, integrated once per game instance even

@@ -2,15 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
+#include <vector>
 
-#include "basic_game.hpp"
+#include "backward_induction.hpp"
 #include "math/gbm.hpp"
 #include "math/quadrature.hpp"
-#include "math/roots.hpp"
 
 namespace swapgame::model {
+
+namespace {
+
+constexpr int kScanSamples = 2048;
+
+constexpr RegionQuadrature kQuadrature{48, 0.0};
+
+}  // namespace
 
 void AlphaPrior::validate_and_normalize() {
   if (alphas.empty() || alphas.size() != weights.size()) {
@@ -60,23 +67,24 @@ UncertainPremiumGame::UncertainPremiumGame(const SwapParams& params,
 }
 
 double UncertainPremiumGame::cutoff_for_alpha(double alpha) const {
-  const double rA = params_.alice.r;
-  const double mu = params_.gbm.mu;
-  return std::exp((rA - mu) * params_.tau_b -
-                  rA * (params_.eps_b + 2.0 * params_.tau_a)) *
-         p_star_ / (1.0 + alpha);
+  SwapParams p = params_;
+  p.alice.alpha = alpha;
+  return stage::alice_t3_cutoff(p, p_star_);
 }
 
 double UncertainPremiumGame::bob_t2_cont_bayes(double p_t2) const {
+  return bob_t2_cont_bayes(params_, p_t2);
+}
+
+double UncertainPremiumGame::bob_t2_cont_bayes(const SwapParams& params,
+                                               double p_t2) const {
   // Eq. (21) with the indicator split averaged over the alpha^A prior: each
   // candidate Alice has her own cutoff, so the reveal probability and the
   // refund partial expectation are prior mixtures.
-  const math::GbmLaw law(params_.gbm, p_t2, params_.tau_b);
-  const double bob_t3_cont = (1.0 + params_.bob.alpha) * p_star_ *
-                             std::exp(-params_.bob.r *
-                                      (params_.eps_b + params_.tau_a));
+  const math::GbmLaw law(params.gbm, p_t2, params.tau_b);
+  const double bob_t3_cont = stage::bob_t3_cont(params, p_star_);
   const double refund_growth =
-      std::exp((params_.gbm.mu - params_.bob.r) * 2.0 * params_.tau_b);
+      std::exp((params.gbm.mu - params.bob.r) * 2.0 * params.tau_b);
   double value = 0.0;
   for (std::size_t i = 0; i < belief_a_.alphas.size(); ++i) {
     const double L = cutoff_for_alpha(belief_a_.alphas[i]);
@@ -84,40 +92,21 @@ double UncertainPremiumGame::bob_t2_cont_bayes(double p_t2) const {
                           refund_growth * law.partial_expectation_below(L);
     value += belief_a_.weights[i] * branch;
   }
-  return value * std::exp(-params_.bob.r * params_.tau_b);
+  return value * std::exp(-params.bob.r * params.tau_b);
 }
 
 std::optional<math::Interval> UncertainPremiumGame::band_for_bob(
     double alpha_b) const {
-  // Same construction as BasicGame::compute_t2_band but with the Bayesian
-  // continuation value and a hypothetical alpha^B.
+  // The complete-information region solve with the Bayesian continuation
+  // value and a hypothetical alpha^B.
   SwapParams p = params_;
   p.bob.alpha = alpha_b;
-  const UncertainPremiumGame* self = this;
-  const auto gap = [self, &p](double price) {
-    // Rebuild Bob's Bayesian cont value with premium alpha_b.
-    const math::GbmLaw law(p.gbm, price, p.tau_b);
-    const double bob_t3_cont =
-        (1.0 + p.bob.alpha) * self->p_star_ *
-        std::exp(-p.bob.r * (p.eps_b + p.tau_a));
-    const double refund_growth =
-        std::exp((p.gbm.mu - p.bob.r) * 2.0 * p.tau_b);
-    double value = 0.0;
-    for (std::size_t i = 0; i < self->belief_a_.alphas.size(); ++i) {
-      const double L = self->cutoff_for_alpha(self->belief_a_.alphas[i]);
-      value += self->belief_a_.weights[i] *
-               (law.survival(L) * bob_t3_cont +
-                refund_growth * law.partial_expectation_below(L));
-    }
-    return value * std::exp(-p.bob.r * p.tau_b) - price;
+  const auto gap = [this, &p](double price) {
+    return bob_t2_cont_bayes(p, price) - price;
   };
-  const double scan_hi = 10.0 * std::max(p_star_, params_.p_t0);
-  // Same strict-preference tie-break as the complete-information solvers,
-  // so the degenerate-equality regimes and SR comparisons line up.
-  const double tie = 1e-10 * scan_hi;
-  const auto tied_gap = [&gap, tie](double price) { return gap(price) - tie; };
   const std::vector<double> roots =
-      math::find_all_roots(tied_gap, 1e-7 * scan_hi, scan_hi, 2048);
+      solve_t2_region(gap, std::max(p_star_, params_.p_t0), kScanSamples)
+          .roots;
   if (roots.size() < 2) return std::nullopt;
   return math::Interval{roots.front(), roots.back()};
 }
@@ -131,19 +120,23 @@ double UncertainPremiumGame::alice_t1_cont_bayes() const {
   // band her value is the complete-information alice_t2_cont (her own t3
   // behaviour does not depend on beliefs); outside she is refunded.
   const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  const BasicGame reference(params_, p_star_);
+  const double cutoff = stage::alice_t3_cutoff(params_, p_star_);
+  const double refund = stage::alice_t2_stop(params_, p_star_);
   double value = 0.0;
   for (std::size_t i = 0; i < belief_b_.alphas.size(); ++i) {
     const auto band = band_for_bob(belief_b_.alphas[i]);
     double branch;
     if (!band) {
-      branch = reference.alice_t2_stop();
+      branch = refund;
     } else {
       const double inside = math::gauss_legendre(
-          [&](double x) { return law.pdf(x) * reference.alice_t2_cont(x); },
-          band->lo, band->hi, 48);
+          [&](double x) {
+            return law.pdf(x) *
+                   stage::alice_t2_cont(params_, p_star_, cutoff, x);
+          },
+          band->lo, band->hi, kQuadrature.panels);
       const double outside_prob = law.cdf(band->lo) + law.survival(band->hi);
-      branch = inside + outside_prob * reference.alice_t2_stop();
+      branch = inside + outside_prob * refund;
     }
     value += belief_b_.weights[i] * branch;
   }
@@ -157,14 +150,9 @@ Action UncertainPremiumGame::alice_decision_t1() const {
 
 double UncertainPremiumGame::realized_success_rate() const {
   if (!band_) return 0.0;
-  const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double L = cutoff_for_alpha(params_.alice.alpha);  // true cutoff
-  return math::gauss_legendre(
-      [&](double x) {
-        const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-        return law_a.pdf(x) * law_b.survival(L);
-      },
-      band_->lo, band_->hi, 48);
+  return region_success_rate(params_, math::IntervalSet({*band_}),
+                             cutoff_for_alpha(params_.alice.alpha),  // true
+                             kQuadrature);
 }
 
 double UncertainPremiumGame::believed_success_rate() const {
@@ -180,7 +168,7 @@ double UncertainPremiumGame::believed_success_rate() const {
         }
         return law_a.pdf(x) * reveal;
       },
-      band_->lo, band_->hi, 48);
+      band_->lo, band_->hi, kQuadrature.panels);
 }
 
 }  // namespace swapgame::model

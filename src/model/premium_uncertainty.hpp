@@ -81,6 +81,9 @@ class UncertainPremiumGame {
   /// Alice's t3 cutoff for a hypothetical premium value (Eq. 18 with
   /// alpha^A = alpha).
   [[nodiscard]] double cutoff_for_alpha(double alpha) const;
+  /// bob_t2_cont_bayes for a Bob with the premiums of `params`.
+  [[nodiscard]] double bob_t2_cont_bayes(const SwapParams& params,
+                                         double p_t2) const;
   /// Band of a Bob with premium alpha_b best-responding under the alpha^A
   /// prior.
   [[nodiscard]] std::optional<math::Interval> band_for_bob(double alpha_b) const;

@@ -55,9 +55,8 @@ std::shared_ptr<const CollateralGame> CollateralGameSweeper::at(
     double p_star, double collateral) {
   const Key key{bits_of(p_star), bits_of(collateral)};
   if (const auto it = memo_.find(key); it != memo_.end()) return it->second;
-  auto game = std::make_shared<const CollateralGame>(
-      params_, p_star, collateral, last_basic_roots_, last_roots_);
-  last_basic_roots_ = game->basic().t2_roots();
+  auto game = std::make_shared<const CollateralGame>(params_, p_star,
+                                                     collateral, last_roots_);
   last_roots_ = game->t2_roots();
   return memo_.emplace(key, std::move(game)).first->second;
 }

@@ -52,9 +52,9 @@ class BasicGameSweeper {
 };
 
 /// Warm-chained, memoizing factory for CollateralGame over a (P*, Q) sweep.
-/// Chains both the embedded basic game's roots and the collateral region's
-/// roots; the chain survives moves in either coordinate (hints are always
-/// verified, so a structural change just falls back to the cold scan).
+/// Chains the collateral region's roots; the chain survives moves in either
+/// coordinate (hints are always verified, so a structural change just falls
+/// back to the cold scan).
 /// Not thread-safe -- use one sweeper per thread/chunk.
 class CollateralGameSweeper {
  public:
@@ -76,7 +76,6 @@ class CollateralGameSweeper {
   };
 
   SwapParams params_;
-  std::vector<double> last_basic_roots_;
   std::vector<double> last_roots_;
   std::unordered_map<Key, std::shared_ptr<const CollateralGame>, KeyHash> memo_;
 };

@@ -29,23 +29,12 @@ StrategyEvaluator::StrategyEvaluator(const SwapParams& params, double p_star)
 
 double StrategyEvaluator::alice_t2_value(double x, double cutoff) const {
   // Eq. (20) with an arbitrary reveal cutoff.
-  const math::GbmLaw law(params_.gbm, x, params_.tau_b);
-  const double cont_part =
-      (1.0 + params_.alice.alpha) *
-      std::exp((params_.gbm.mu - params_.alice.r) * params_.tau_b) *
-      law.partial_expectation_above(cutoff);
-  const double stop_part = law.cdf(cutoff) * game_.alice_t3_stop();
-  return (cont_part + stop_part) * std::exp(-params_.alice.r * params_.tau_b);
+  return stage::alice_t2_cont(params_, p_star_, cutoff, x);
 }
 
 double StrategyEvaluator::bob_t2_value(double x, double cutoff) const {
   // Eq. (21) with an arbitrary reveal cutoff.
-  const math::GbmLaw law(params_.gbm, x, params_.tau_b);
-  const double cont_part = law.survival(cutoff) * game_.bob_t3_cont();
-  const double stop_part =
-      std::exp((params_.gbm.mu - params_.bob.r) * 2.0 * params_.tau_b) *
-      law.partial_expectation_below(cutoff);
-  return (cont_part + stop_part) * std::exp(-params_.bob.r * params_.tau_b);
+  return stage::bob_t2_cont(params_, p_star_, cutoff, x);
 }
 
 double StrategyEvaluator::integrate_region(

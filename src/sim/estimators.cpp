@@ -8,6 +8,7 @@
 #include "math/simd.hpp"
 #include "mc_detail.hpp"
 #include "mc_driver.hpp"
+#include "model/basic_game.hpp"
 #include "model/collateral_game.hpp"
 
 namespace swapgame::sim {
@@ -216,9 +217,9 @@ VrEstimate detail::model_mc_vr(const model::SwapParams& params, double p_star,
   // Thresholds are identical across samples; solve the game once.
   const model::CollateralGame game(params, p_star, collateral);
   const bool initiated =
-      collateral > 0.0
-          ? game.engaged()
-          : game.basic().alice_decision_t1() == model::Action::kCont;
+      collateral > 0.0 ? game.engaged()
+                       : model::BasicGame(params, p_star).alice_decision_t1() ==
+                             model::Action::kCont;
   return run_batched(params, game.bob_t2_region(), game.alice_t3_cutoff(),
                      game.bob_t2_cont_probability(), initiated, config);
 }
@@ -230,17 +231,9 @@ VrEstimate detail::profile_mc_vr(const model::SwapParams& params,
   // Analytic control mean for an arbitrary region: lognormal CDF mass of
   // the profile's t2 region (the profile analogue of
   // bob_t2_cont_probability).
-  const math::GbmLaw law_a(params.gbm, params.p_t0, params.tau_a);
-  double control_mean = 0.0;
-  for (const math::Interval& iv : profile.bob_region.intervals()) {
-    const double lo = std::max(iv.lo, 1e-12);
-    if (!(iv.hi > lo)) continue;
-    control_mean += std::isinf(iv.hi) ? law_a.survival(lo)
-                                      : law_a.cdf(iv.hi) - law_a.cdf(lo);
-  }
-  control_mean = std::min(1.0, std::max(0.0, control_mean));
   return run_batched(params, profile.bob_region, profile.alice_cutoff,
-                     control_mean, /*initiated=*/true, config);
+                     model::region_mass(params, profile.bob_region),
+                     /*initiated=*/true, config);
 }
 
 }  // namespace swapgame::sim

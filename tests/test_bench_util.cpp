@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace swapgame::bench {
@@ -114,6 +115,25 @@ TEST_F(BenchOutPath, FallsBackToCwdWhenTheTargetIsAFile) {
   std::ofstream(blocker) << "x";
   const ScopedBenchDir env(blocker.c_str());
   EXPECT_EQ(out_path("BENCH_x.json"), "BENCH_x.json");
+}
+
+TEST_F(BenchOutPath, BenchJsonNamesItsHost) {
+  const ScopedBenchDir env(dir_.c_str());
+  {
+    Report report("Host probe -- telemetry", "writes BENCH_host_probe.json");
+    EXPECT_EQ(report.exit_code(), 0);
+  }
+  std::ifstream in(dir_ + "/BENCH_host_probe.json");
+  ASSERT_TRUE(in.is_open());
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"host\": {\"nproc\": "), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"nproc\": 0,"), std::string::npos) << json;
+  for (const char* key : {"\"cpu_model\": \"", "\"compiler\": \"",
+                          "\"build_type\": \""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(host_info().compiler, __VERSION__);
 }
 
 TEST(BenchScaling, ScaledFloorsAndDivides) {

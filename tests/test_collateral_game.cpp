@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "model/basic_game.hpp"
+
 namespace swapgame::model {
 namespace {
 
@@ -15,16 +17,23 @@ SwapParams defaults() { return SwapParams::table3_defaults(); }
 TEST(CollateralGame, ConstructorValidates) {
   EXPECT_THROW(CollateralGame(defaults(), 2.0, -0.1), std::invalid_argument);
   EXPECT_THROW(CollateralGame(defaults(), 0.0, 0.5), std::invalid_argument);
+  SwapParams negative_sigma = defaults();
+  negative_sigma.gbm.sigma = -0.1;
+  EXPECT_THROW(CollateralGame(negative_sigma, 2.0, 0.5), std::invalid_argument);
+  EXPECT_THROW(CollateralGame(defaults(), INFINITY, 0.5),
+               std::invalid_argument);
+  EXPECT_THROW(CollateralGame(defaults(), NAN, 0.5), std::invalid_argument);
   EXPECT_NO_THROW(CollateralGame(defaults(), 2.0, 0.0));
 }
 
 TEST(CollateralGame, ZeroCollateralReducesToBasicGame) {
   const CollateralGame cg(defaults(), 2.0, 0.0);
-  const BasicGame& bg = cg.basic();
+  const BasicGame bg(defaults(), 2.0);
   EXPECT_NEAR(cg.alice_t3_cutoff(), bg.alice_t3_cutoff(), 1e-12);
   EXPECT_NEAR(cg.success_rate(), bg.success_rate(), 1e-9);
+  EXPECT_EQ(cg.alice_t3_stop(), bg.alice_t3_stop());
   for (double p : {0.5, 1.0, 2.0, 3.0}) {
-    EXPECT_NEAR(cg.alice_t3_cont(p), bg.alice_t3_cont(p), 1e-12);
+    EXPECT_EQ(cg.alice_t3_cont(p), bg.alice_t3_cont(p));
     EXPECT_NEAR(cg.bob_t2_cont(p), bg.bob_t2_cont(p), 1e-9);
     EXPECT_NEAR(cg.alice_t2_cont(p), bg.alice_t2_cont(p), 1e-9);
   }

@@ -40,6 +40,17 @@ RunSpec mc_spec(double p_star, std::uint64_t seed,
   return spec;
 }
 
+/// An analytic SR cell at the Table III defaults with the given deposits.
+RunSpec analytic_spec(double collateral, double premium) {
+  RunSpec spec;
+  spec.kind = CellKind::kAnalyticSr;
+  spec.mc.params = model::SwapParams::table3_defaults();
+  spec.mc.p_star = 2.0;
+  spec.mc.collateral = collateral;
+  spec.mc.premium = premium;
+  return spec;
+}
+
 /// Serialized view of a whole batch -- the bit-exact comparison key (NaN
 /// and signed zero compare by their canonical rendering, not by ==).
 std::string serialize(const std::vector<RunResult>& results) {
@@ -261,6 +272,34 @@ TEST(CheckpointFile, EmptyPathDisablesCheckpointing) {
   const CheckpointFile disabled{""};
   EXPECT_FALSE(disabled.enabled());
   EXPECT_TRUE(disabled.load().empty());
+}
+
+TEST(EvaluateAnalyticSr, RejectsDepositsNoGameAccepts) {
+  // The deposits select the game and enter the hash, so a value no game
+  // accepts must fail the cell, never solve another game under that hash.
+  for (const double bad : {-0.5, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)evaluate_cell(analytic_spec(bad, 0.0)),
+                 std::invalid_argument)
+        << "collateral " << bad;
+    EXPECT_THROW((void)evaluate_cell(analytic_spec(0.0, bad)),
+                 std::invalid_argument)
+        << "premium " << bad;
+  }
+  EXPECT_THROW((void)evaluate_cell(analytic_spec(0.5, 0.5)),
+               std::invalid_argument);
+}
+
+TEST(EvaluateAnalyticSr, EachDepositSelectsItsGame) {
+  const RunResult basic = evaluate_cell(analytic_spec(0.0, 0.0));
+  const RunResult collateral = evaluate_cell(analytic_spec(0.5, 0.0));
+  const RunResult premium = evaluate_cell(analytic_spec(0.0, 0.5));
+  EXPECT_TRUE(basic.has("alice_t1_cont"));
+  EXPECT_FALSE(collateral.has("alice_t1_cont"));
+  EXPECT_FALSE(premium.has("alice_t1_cont"));
+  EXPECT_NE(collateral.at("sr"), basic.at("sr"));
+  EXPECT_NE(premium.at("sr"), basic.at("sr"));
+  EXPECT_NE(premium.at("sr"), collateral.at("sr"));
 }
 
 TEST(BatchEngineDag, RejectsCyclesAndOutOfRangeDeps) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "model/basic_game.hpp"
 #include "model/collateral_game.hpp"
 
 namespace swapgame::model {
@@ -15,17 +16,24 @@ SwapParams defaults() { return SwapParams::table3_defaults(); }
 TEST(PremiumGame, ConstructorValidates) {
   EXPECT_THROW(PremiumGame(defaults(), 2.0, -0.1), std::invalid_argument);
   EXPECT_THROW(PremiumGame(defaults(), 0.0, 0.5), std::invalid_argument);
+  SwapParams negative_sigma = defaults();
+  negative_sigma.gbm.sigma = -0.1;
+  EXPECT_THROW(PremiumGame(negative_sigma, 2.0, 0.5), std::invalid_argument);
+  EXPECT_THROW(PremiumGame(defaults(), INFINITY, 0.5), std::invalid_argument);
+  EXPECT_THROW(PremiumGame(defaults(), NAN, 0.5), std::invalid_argument);
   EXPECT_NO_THROW(PremiumGame(defaults(), 2.0, 0.0));
 }
 
 TEST(PremiumGame, ZeroPremiumReducesToBasicGame) {
   const PremiumGame pg(defaults(), 2.0, 0.0);
-  const BasicGame& bg = pg.basic();
+  const BasicGame bg(defaults(), 2.0);
   EXPECT_NEAR(pg.alice_t3_cutoff(), bg.alice_t3_cutoff(), 1e-12);
   EXPECT_NEAR(pg.success_rate(), bg.success_rate(), 1e-9);
+  EXPECT_EQ(pg.alice_t3_stop(), bg.alice_t3_stop());
+  EXPECT_EQ(pg.bob_t3_cont(), bg.bob_t3_cont());
   for (double p : {0.5, 1.5, 2.0, 3.0}) {
-    EXPECT_NEAR(pg.alice_t3_cont(p), bg.alice_t3_cont(p), 1e-12);
-    EXPECT_NEAR(pg.bob_t3_stop(p), bg.bob_t3_stop(p), 1e-12);
+    EXPECT_EQ(pg.alice_t3_cont(p), bg.alice_t3_cont(p));
+    EXPECT_EQ(pg.bob_t3_stop(p), bg.bob_t3_stop(p));
     EXPECT_NEAR(pg.bob_t2_cont(p), bg.bob_t2_cont(p), 1e-9);
   }
   EXPECT_NEAR(pg.alice_t1_cont(), bg.alice_t1_cont(), 1e-6);
@@ -71,7 +79,7 @@ TEST(PremiumGame, PremiumOnlyDisciplinesAliceNotBob) {
   EXPECT_LT(premium.success_rate(), collateral.success_rate());
   // Bob's region upper edge barely moves under the premium...
   const auto premium_hi = premium.bob_t2_region().intervals().back().hi;
-  const auto basic_hi = premium.basic().bob_t2_band()->hi;
+  const auto basic_hi = BasicGame(defaults(), 2.0).bob_t2_band()->hi;
   EXPECT_LT(premium_hi, basic_hi * 1.05);
   // ...but moves a lot under collateral.
   const auto coll_hi = collateral.bob_t2_region().intervals().back().hi;
@@ -85,7 +93,7 @@ TEST(PremiumGame, BobHarvestsPremiumAtLowPrices) {
   EXPECT_EQ(game.bob_decision_t2(1e-6), Action::kCont);
   EXPECT_TRUE(game.bob_t2_region().contains(1e-6));
   // Without the premium he walks away at such prices.
-  EXPECT_EQ(game.basic().bob_decision_t2(1e-6), Action::kStop);
+  EXPECT_EQ(BasicGame(defaults(), 2.0).bob_decision_t2(1e-6), Action::kStop);
 }
 
 TEST(PremiumGame, RegionBoundariesAreIndifferencePoints) {

@@ -68,7 +68,7 @@ TEST(CollateralRationalStrategy, UsesCollateralThresholds) {
   // Bob's region includes near-zero prices (collateral recovery motive).
   EXPECT_EQ(bob.decide(Stage::kT2Lock, ctx(1e-6)), model::Action::kCont);
   // Alice's t3 cutoff is lower than in the basic game.
-  const double basic_cut = game.basic().alice_t3_cutoff();
+  const double basic_cut = model::BasicGame(defaults(), 2.0).alice_t3_cutoff();
   const double coll_cut = game.alice_t3_cutoff();
   ASSERT_LT(coll_cut, basic_cut);
   const double between = 0.5 * (coll_cut + basic_cut);
