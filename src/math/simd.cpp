@@ -4,6 +4,7 @@
 #include "simd.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -71,7 +72,13 @@ SimdLevel resolve_from_env() noexcept {
   if (std::strcmp(env, "avx512") == 0) {
     return best_supported(SimdLevel::kAvx512);
   }
-  return best_supported(SimdLevel::kAvx512);  // unrecognized -> auto
+  // Unrecognized -> auto, but say so: a silent fallback would turn a
+  // mistyped off-vs-auto comparison into auto vs auto.
+  std::fprintf(stderr,
+               "swapgame: ignoring SWAPGAME_SIMD=%s (accepted: "
+               "off|scalar|avx2|avx512|auto); using auto\n",
+               env);
+  return best_supported(SimdLevel::kAvx512);
 }
 
 std::atomic<int> g_active_level{-1};

@@ -21,7 +21,8 @@
 //
 // Env values for SWAPGAME_SIMD: "off"/"scalar", "avx2", "avx512", "auto"
 // (default).  Requesting an unsupported level falls back to the best
-// supported level at or below the request.
+// supported level at or below the request.  Any other value also means
+// "auto", with one line on stderr naming the accepted values.
 #pragma once
 
 #include <cstddef>

@@ -14,12 +14,17 @@
 //  * every SIMD dispatch level is bitwise identical to the scalar
 //    reference -- buffer fills, accumulator blocks, and the full
 //    VrEstimate across estimator configs and thread counts;
+//  * SWAPGAME_SIMD selects the dispatch level, and a value it does not
+//    accept falls back to auto with a stderr line;
 //  * ControlVariateAccumulator::merge is exact (streamed == merged halves).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -325,8 +330,13 @@ TEST(SimdBitwise, BufferFillsIdenticalAtEveryDispatchLevel) {
   const math::simd::KernelTable* scalar =
       math::simd::kernels(math::simd::SimdLevel::kScalar);
   ASSERT_NE(scalar, nullptr);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                              std::size_t{1000}, std::size_t{4097}}) {
+  // 11/12/13 and 31/32/33/63 sit on each side of the interleaved quantile
+  // block (AVX2 3 x 4 lanes, AVX-512 4 x 8): full blocks and padded tails.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{11},
+        std::size_t{12}, std::size_t{13}, std::size_t{31}, std::size_t{32},
+        std::size_t{33}, std::size_t{63}, std::size_t{1000},
+        std::size_t{4097}}) {
     math::Xoshiro256 ref_rng(31);
     std::vector<double> ref_u(n), ref_z(n);
     scalar->fill_uniform01(ref_rng, ref_u.data(), n);
@@ -347,6 +357,43 @@ TEST(SimdBitwise, BufferFillsIdenticalAtEveryDispatchLevel) {
       EXPECT_EQ(z, ref_z) << to_string(level) << " n=" << n;
     }
   }
+}
+
+TEST(SimdDispatch, EnvOverrideSelectsTheRequestedLevel) {
+  // Put the caller's SWAPGAME_SIMD and dispatch level back on every exit.
+  struct EnvRestore {
+    std::optional<std::string> saved;
+    ~EnvRestore() {
+      if (saved) {
+        setenv("SWAPGAME_SIMD", saved->c_str(), 1);
+      } else {
+        unsetenv("SWAPGAME_SIMD");
+      }
+      math::simd::reset_level();
+    }
+  } restore;
+  if (const char* env = std::getenv("SWAPGAME_SIMD")) restore.saved = env;
+
+  ASSERT_EQ(setenv("SWAPGAME_SIMD", "off", 1), 0);
+  math::simd::reset_level();
+  EXPECT_EQ(math::simd::active_level(), math::simd::SimdLevel::kScalar);
+
+  ASSERT_EQ(setenv("SWAPGAME_SIMD", "avx2", 1), 0);
+  math::simd::reset_level();
+  EXPECT_LE(math::simd::active_level(), math::simd::SimdLevel::kAvx2);
+
+  // A typo falls back to auto, but not silently.
+  ASSERT_EQ(unsetenv("SWAPGAME_SIMD"), 0);
+  math::simd::reset_level();
+  const math::simd::SimdLevel auto_level = math::simd::active_level();
+  ASSERT_EQ(setenv("SWAPGAME_SIMD", "avx-512", 1), 0);
+  testing::internal::CaptureStderr();
+  math::simd::reset_level();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(math::simd::active_level(), auto_level);
+  EXPECT_NE(err.find("SWAPGAME_SIMD=avx-512"), std::string::npos) << err;
+  EXPECT_NE(err.find("off|scalar|avx2|avx512|auto"), std::string::npos)
+      << err;
 }
 
 TEST(SimdBitwise, FullVrEstimateIdenticalAtEveryDispatchLevel) {
