@@ -1,6 +1,7 @@
 #include "population_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -27,6 +28,21 @@ enum Stage : int { kDeployA = 0, kDeployB = 1, kClaimB = 2, kClaimA = 3 };
 
 [[nodiscard]] std::int64_t quantize(double x, double tick) {
   return std::llround(x / tick);
+}
+
+/// Runs fn(0) .. fn(n-1) once each: inline without a pool, else over at
+/// most `width` pool slices that claim indices from a shared counter (the
+/// solves differ in cost, so static slicing would leave workers idle).
+void for_each_index(sweep::ThreadPool* pool, std::size_t width, std::size_t n,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || n < 2) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  pool->run_parallel(std::min(width, n), [&](std::size_t) {
+    for (std::size_t i = next++; i < n; i = next++) fn(i);
+  });
 }
 
 /// Nearest-rank percentile of a SORTED sample (p in (0, 1]).
@@ -199,68 +215,111 @@ model::SwapParams PopulationSim::pair_params(std::uint32_t buyer_type,
   return params;
 }
 
-const PopulationSim::GameEntry& PopulationSim::game_entry(
-    std::uint32_t buyer_type, std::uint32_t seller_type, double p_star) {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return game_entry_locked(buyer_type, seller_type, p_star);
+ThresholdKey ThresholdKey::of(const PopulationConfig& config,
+                              std::uint32_t buyer_type,
+                              std::uint32_t seller_type, double p_star,
+                              double p_t0) {
+  return {buyer_type, seller_type, quantize(p_star, config.tick),
+          quantize(p_t0, config.decision_tick)};
 }
 
-const PopulationSim::GameEntry& PopulationSim::game_entry_locked(
-    std::uint32_t buyer_type, std::uint32_t seller_type, double p_star) {
-  const std::uint32_t pair_key = (buyer_type << 8) | seller_type;
-  const std::int64_t star_units = quantize(p_star, config_.tick);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(pair_key) << 32) |
-      static_cast<std::uint64_t>(star_units & 0xFFFFFFFFLL);
-  const auto it = games_.find(key);
-  if (it != games_.end()) return it->second;
+void PopulationSim::solve_thresholds(std::uint64_t first_spawned) {
+  // init_session runs in the epoch that spawned the session and reads the
+  // t1 entry at the epoch-frozen window price; at_t2/at_t3 later read the
+  // level-1 entry that t1 entry was built on.  So the keys spawned this
+  // epoch are every key the parallel phase can miss.
+  std::vector<ThresholdKey> misses;
+  for (std::uint64_t idx = first_spawned;
+       idx < session_offset_ + sessions_.size(); ++idx) {
+    const Session& s = *session(idx);
+    misses.push_back(ThresholdKey::of(config_, s.buyer_type, s.seller_type,
+                                      s.p_star, window_price_));
+  }
+  std::sort(misses.begin(), misses.end());
+  misses.erase(std::unique(misses.begin(), misses.end()), misses.end());
+  std::erase_if(misses,
+                [this](const ThresholdKey& k) { return t1_cache_.contains(k); });
+  if (misses.empty()) return;
 
+  // Level-1 solves first (the t1 quadrature warm-starts from their roots).
+  // Every one reads last_roots_ as the previous epoch left it, so a
+  // solve's inputs do not depend on which slice runs it or in what order.
+  std::vector<ThresholdKey> game_keys;
+  for (const ThresholdKey& key : misses) {
+    const ThresholdKey level1 = key.level1();
+    if (!games_.contains(level1) &&
+        (game_keys.empty() || game_keys.back() != level1)) {
+      game_keys.push_back(level1);
+    }
+  }
+  std::vector<GameEntry> games(game_keys.size());
+  for_each_index(pool_.get(), shards_.size(), game_keys.size(),
+                 [&](std::size_t i) { games[i] = solve_game(game_keys[i]); });
+  for (std::size_t i = 0; i < game_keys.size(); ++i) {
+    const ThresholdKey& key = game_keys[i];
+    // Key order: the highest fresh P* of a pair seeds its next solve.
+    last_roots_[{key.buyer_type, key.seller_type}] = games[i].t2_roots;
+    games_.emplace(key, std::move(games[i]));
+  }
+  result_.threshold_games += game_keys.size();
+
+  std::vector<std::pair<double, double>> values(misses.size());
+  for_each_index(pool_.get(), shards_.size(), misses.size(),
+                 [&](std::size_t i) { values[i] = solve_t1(misses[i]); });
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    t1_cache_.emplace(misses[i], values[i]);
+  }
+  result_.t1_evaluations += misses.size();
+}
+
+PopulationSim::GameEntry PopulationSim::solve_game(
+    const ThresholdKey& key) const {
   // The t3 cutoff and t2 region do not depend on p_t0 (only the t1
   // quantities do), so one solve at a canonical p_t0 = P* serves every
-  // decision price.  Warm-start along the P* axis within a type pair; the
-  // hints are frozen for the whole epoch (refreshed at the barrier) so a
-  // solve's inputs do not depend on which worker reaches it first.
-  const double p = static_cast<double>(star_units) * config_.tick;
-  const model::SwapParams params = pair_params(buyer_type, seller_type, p);
-  const std::vector<double>& hints = last_roots_[pair_key];
-  const model::BasicGame game = hints.empty()
-                                    ? model::BasicGame(params, p)
-                                    : model::BasicGame(params, p, hints);
-  ++result_.threshold_games;
+  // decision price.  Warm-start along the P* axis within a type pair.
+  const double p = static_cast<double>(key.star_units) * config_.tick;
+  const model::SwapParams params =
+      pair_params(key.buyer_type, key.seller_type, p);
+  const auto hints = last_roots_.find({key.buyer_type, key.seller_type});
+  const model::BasicGame game =
+      hints == last_roots_.end() || hints->second.empty()
+          ? model::BasicGame(params, p)
+          : model::BasicGame(params, p, hints->second);
   GameEntry entry;
   entry.t3_cutoff = game.alice_t3_cutoff();
   entry.t2_region = game.bob_t2_region();
   entry.t2_roots = game.t2_roots();
-  pending_hints_.push_back(HintRec{pair_key, star_units, entry.t2_roots});
-  return games_.emplace(key, std::move(entry)).first->second;
+  return entry;
 }
 
-std::pair<double, double> PopulationSim::t1_entry(std::uint32_t buyer_type,
-                                                  std::uint32_t seller_type,
-                                                  double p_star, double p_t0) {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  const std::uint32_t pair_key = (buyer_type << 8) | seller_type;
-  const std::int64_t star_units = quantize(p_star, config_.tick);
-  const std::int64_t t0_units = quantize(p_t0, config_.decision_tick);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(pair_key) << 48) |
-      (static_cast<std::uint64_t>(star_units & 0xFFFFFFLL) << 24) |
-      static_cast<std::uint64_t>(t0_units & 0xFFFFFFLL);
-  const auto it = t1_cache_.find(key);
-  if (it != t1_cache_.end()) return it->second;
-
-  const GameEntry& level1 = game_entry_locked(buyer_type, seller_type, p_star);
-  const double star = static_cast<double>(star_units) * config_.tick;
+std::pair<double, double> PopulationSim::solve_t1(
+    const ThresholdKey& key) const {
+  const GameEntry& level1 = game_entry(key.level1());
+  const double star = static_cast<double>(key.star_units) * config_.tick;
   const double t0 =
-      std::max(static_cast<double>(t0_units) * config_.decision_tick,
+      std::max(static_cast<double>(key.t0_units) * config_.decision_tick,
                0.5 * config_.decision_tick);
-  const model::BasicGame game(pair_params(buyer_type, seller_type, t0), star,
-                              level1.t2_roots);
-  ++result_.t1_evaluations;
-  const std::pair<double, double> value{game.alice_t1_cont(),
-                                        game.success_rate()};
-  t1_cache_.emplace(key, value);
-  return value;
+  const model::BasicGame game(
+      pair_params(key.buyer_type, key.seller_type, t0), star, level1.t2_roots);
+  return {game.alice_t1_cont(), game.success_rate()};
+}
+
+const PopulationSim::GameEntry& PopulationSim::game_entry(
+    const ThresholdKey& key) const {
+  const auto it = games_.find(key.level1());
+  if (it == games_.end()) {
+    throw std::logic_error("PopulationSim: level-1 threshold not pre-solved");
+  }
+  return it->second;
+}
+
+std::pair<double, double> PopulationSim::t1_entry(
+    const ThresholdKey& key) const {
+  const auto it = t1_cache_.find(key);
+  if (it == t1_cache_.end()) {
+    throw std::logic_error("PopulationSim: t1 threshold not pre-solved");
+  }
+  return it->second;
 }
 
 // --- endogenous price ------------------------------------------------------
@@ -367,7 +426,8 @@ void PopulationSim::init_session(Shard& sh, std::uint64_t idx) {
   s.rng = session_rng(config_.seed, idx);
   s.secret = crypto::Secret::generate(s.rng);
   const double p = window_price_;
-  const auto [t1_cont, sr] = t1_entry(s.buyer_type, s.seller_type, s.p_star, p);
+  const auto [t1_cont, sr] = t1_entry(
+      ThresholdKey::of(config_, s.buyer_type, s.seller_type, s.p_star, p));
   if (trace_ != nullptr && trace_stride_ > 0 && idx % trace_stride_ == 0) {
     TraceRec rec;
     rec.stamp = Stamp{s.t0, idx, s.bseq++};
@@ -525,7 +585,8 @@ void PopulationSim::at_t2(Shard& sh, std::uint64_t idx) {
   // Bob verified Alice's confirmed lock; he continues iff the epoch price
   // sits in his rational continuation region (Eq. 24).
   const double p = window_price_;
-  const GameEntry& game = game_entry(s.buyer_type, s.seller_type, s.p_star);
+  const GameEntry& game = game_entry(
+      ThresholdKey::of(config_, s.buyer_type, s.seller_type, s.p_star, p));
   if (!game.t2_region.contains(p)) {
     s.outcome = SessionOutcome::kAbortedT2;
     return;  // Alice's lock auto-refunds at expiry; watchdog accounts it
@@ -560,7 +621,8 @@ void PopulationSim::at_t3(Shard& sh, std::uint64_t idx) {
   s.deploy_b_confirmed = sh.queue.now();
   // Alice reveals iff the epoch price clears her t3 cutoff (Eq. 19).
   const double p = window_price_;
-  const GameEntry& game = game_entry(s.buyer_type, s.seller_type, s.p_star);
+  const GameEntry& game = game_entry(
+      ThresholdKey::of(config_, s.buyer_type, s.seller_type, s.p_star, p));
   if (!(p > game.t3_cutoff)) {
     s.outcome = SessionOutcome::kAbortedT3;
     return;  // both locks auto-refund; watchdog accounts the lockup
@@ -798,20 +860,6 @@ void PopulationSim::merge_window(double e1) {
     }
   }
 
-  // Warm-start hints: fold fresh solves keyed by (pair, P*) -- a
-  // deterministic order that ignores which worker solved first.
-  if (!pending_hints_.empty()) {
-    std::sort(pending_hints_.begin(), pending_hints_.end(),
-              [](const HintRec& a, const HintRec& b) {
-                if (a.pair_key != b.pair_key) return a.pair_key < b.pair_key;
-                return a.star_units < b.star_units;
-              });
-    for (HintRec& h : pending_hints_) {
-      last_roots_[h.pair_key] = std::move(h.roots);
-    }
-    pending_hints_.clear();
-  }
-
   finalized_since_compact_ += merged_finals_.size();
   maybe_compact(e1);
 }
@@ -904,11 +952,14 @@ PopulationResult PopulationSim::run() {
     window_price_ = price_;
 
     // Serial phase: arrivals, order-book matching, block seals, drop
-    // deliveries and re-bids -- everything that couples sessions.
+    // deliveries and re-bids -- everything that couples sessions -- then
+    // the threshold solves the new sessions need.
+    const std::uint64_t first_spawned = session_offset_ + sessions_.size();
     if (queue_.drain_before(e1) != 0) {
       global_max_event_time_ = std::max(global_max_event_time_, queue_.now());
     }
     queue_.advance_to(e1);
+    solve_thresholds(first_spawned);
 
     // Parallel phase: each shard drains its own queue (session state
     // machines, HTLC confirmations, refunds) up to the barrier.

@@ -15,10 +15,11 @@
 //     +-impact toward the taker's side), and every t1/t2/t3 decision reads
 //     the epoch price against the rational thresholds of model::BasicGame;
 //   * thresholds are served from two caches keyed on tick-quantized
-//     coordinates -- (type pair, P*) for the p_t0-independent t2 region
-//     and t3 cutoff, plus (type pair, P*, P_t0) for the quadrature-backed
-//     t1 continuation value and analytic SR -- so 10^5 decisions cost a
-//     few hundred solver runs, warm-started along the P* axis;
+//     coordinates (ThresholdKey) -- (type pair, P*) for the p_t0-independent
+//     t2 region and t3 cutoff, plus (type pair, P*, P_t0) for the
+//     quadrature-backed t1 continuation value and analytic SR -- so 10^5
+//     decisions cost a few hundred solver runs, warm-started along the P*
+//     axis;
 //   * per-session outcome, settlement latency and capital lockup roll up
 //     into market::MarketStats, and the ledgers' total_supply()
 //     conservation is checked against the minted totals at the end.
@@ -28,16 +29,17 @@
 //
 //   1. a SERIAL phase drains the global event queue (arrivals, order-book
 //      matching, block seals, drop deliveries, re-bids) strictly before
-//      the epoch boundary;
+//      the epoch boundary, then solves every threshold-cache miss the
+//      epoch's new sessions will read -- distinct keys, fanned out on the
+//      pool, stored in key order;
 //   2. a PARALLEL phase drains K per-worker event-queue shards on a
 //      sweep::ThreadPool -- each shard owns the sessions with
 //      index % workers == shard and a private Ledger pair, so the t1..t4
 //      state machines, HTLC lifecycles and refunds advance with no shared
-//      mutable state (the threshold caches are the one mutex);
+//      mutable state (the threshold caches are only read, without a lock);
 //   3. a BARRIER merges every cross-shard effect in canonical
 //      (time, session, birth-order) stamp order: fee-market intents,
-//      price impacts, statistics folds, trace events, cache warm-start
-//      hints, ledger compaction.
+//      price impacts, statistics folds, trace events, ledger compaction.
 //
 // Because the merge order is canonical and sessions only interact through
 // merged state, results and traces are BIT-IDENTICAL at every worker
@@ -47,12 +49,12 @@
 // cell kind (engine/run_spec.hpp).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,6 +154,28 @@ struct PopulationConfig {
   /// Throws std::invalid_argument on non-positive rates/ticks/sessions or
   /// invalid chain/fee parameters.
   void validate() const;
+};
+
+/// Coordinate of one threshold-cache entry: the (buyer, seller) type pair
+/// plus P* on the `tick` grid and P_t0 on the `decision_tick` grid.  Every
+/// field is full width, so two coordinates never share an entry however
+/// fine the ticks or large the prices.
+struct ThresholdKey {
+  std::uint32_t buyer_type = 0;
+  std::uint32_t seller_type = 0;
+  std::int64_t star_units = 0;
+  std::int64_t t0_units = 0;
+
+  /// The coordinate of a t1 decision at (p_star, p_t0).
+  [[nodiscard]] static ThresholdKey of(const PopulationConfig& config,
+                                       std::uint32_t buyer_type,
+                                       std::uint32_t seller_type,
+                                       double p_star, double p_t0);
+  /// The p_t0-independent coordinate of the t2 region and t3 cutoff.
+  [[nodiscard]] ThresholdKey level1() const noexcept {
+    return {buyer_type, seller_type, star_units, 0};
+  }
+  friend auto operator<=>(const ThresholdKey&, const ThresholdKey&) = default;
 };
 
 /// Terminal classification of one matched session.
@@ -311,14 +335,6 @@ class PopulationSim {
     double latency = std::numeric_limits<double>::quiet_NaN();
   };
 
-  /// A fresh level-1 solve's roots, folded into the warm-start hints at
-  /// the barrier (ordered by key, so the fold ignores solve order).
-  struct HintRec {
-    std::uint32_t pair_key = 0;
-    std::int64_t star_units = 0;
-    std::vector<double> roots;
-  };
-
   /// One worker shard: a private event queue and ledger pair plus the
   /// per-epoch effect buffers.  Sessions with index % workers == shard
   /// live here; only the owning worker touches any of it during the
@@ -365,23 +381,24 @@ class PopulationSim {
   };
 
   // --- decision thresholds (two-level tick-quantized cache) -------------
-  // Thread-safe: workers of the parallel phase share the caches under
-  // cache_mutex_ (misses are rare after warm-up and the values are
-  // deterministic -- frozen warm-start hints make a solve's inputs
-  // independent of which worker runs it first).
+  // Written only by solve_thresholds, serially between the serial drain
+  // and the parallel phase; the parallel phase reads them without a lock.
   [[nodiscard]] model::SwapParams pair_params(std::uint32_t buyer_type,
                                               std::uint32_t seller_type,
                                               double p_t0) const;
-  [[nodiscard]] const GameEntry& game_entry(std::uint32_t buyer_type,
-                                            std::uint32_t seller_type,
-                                            double p_star);
-  [[nodiscard]] const GameEntry& game_entry_locked(std::uint32_t buyer_type,
-                                                   std::uint32_t seller_type,
-                                                   double p_star);
-  /// (alice_t1_cont, analytic SR) at quantized (pair, P*, P_t0).
-  [[nodiscard]] std::pair<double, double> t1_entry(std::uint32_t buyer_type,
-                                                   std::uint32_t seller_type,
-                                                   double p_star, double p_t0);
+  /// Solves every t1 (and underlying level-1) entry missing for the
+  /// sessions with index >= first_spawned: distinct keys, solved in
+  /// parallel on the pool, stored in key order.
+  void solve_thresholds(std::uint64_t first_spawned);
+  [[nodiscard]] GameEntry solve_game(const ThresholdKey& key) const;
+  [[nodiscard]] std::pair<double, double> solve_t1(
+      const ThresholdKey& key) const;
+  /// Cache reads; a miss throws std::logic_error (solve_thresholds covers
+  /// every key the parallel phase can ask for).
+  [[nodiscard]] const GameEntry& game_entry(const ThresholdKey& key) const;
+  /// (alice_t1_cont, analytic SR) at a t1 coordinate.
+  [[nodiscard]] std::pair<double, double> t1_entry(
+      const ThresholdKey& key) const;
 
   // --- endogenous price (serial/barrier only) ----------------------------
   /// One GBM draw covering [price_time_, t]; no-op when t <= price_time_.
@@ -457,13 +474,15 @@ class PopulationSim {
   std::uint64_t finalized_since_compact_ = 0;
   std::map<std::uint64_t, std::uint32_t> order_types_;  ///< order id -> type
 
-  std::mutex cache_mutex_;  ///< guards the caches + pending_hints_
-  std::map<std::uint64_t, GameEntry> games_;            ///< level-1 cache
-  std::map<std::uint64_t, std::pair<double, double>> t1_cache_;  ///< level-2
-  std::vector<HintRec> pending_hints_;  ///< fresh solves, folded @ barrier
-  /// Last t2 roots per type pair, warm-starting the next P* solve.
-  /// Frozen during the parallel phase, refreshed at the barrier.
-  std::map<std::uint32_t, std::vector<double>> last_roots_;
+  // Threshold caches: filled by solve_thresholds before each parallel
+  // phase, read-only while the shards drain.
+  std::map<ThresholdKey, GameEntry> games_;  ///< level-1 (t2/t3)
+  std::map<ThresholdKey, std::pair<double, double>> t1_cache_;  ///< level-2
+  /// Last t2 roots per (buyer, seller) type pair, warm-starting the next P*
+  /// solve.  Updated only after all of an epoch's level-1 solves, so every
+  /// solve of one epoch sees the same hints.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<double>>
+      last_roots_;
 
   std::uint64_t merge_expired_ = 0;  ///< intents already dead at the merge
   PopulationResult result_;

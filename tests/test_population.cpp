@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <vector>
 
 #include "chain/event_queue.hpp"
@@ -250,6 +251,118 @@ TEST(PopulationSim, SeedChangesTheRun) {
   const PopulationResult a = sim_a.run();
   const PopulationResult b = sim_b.run();
   EXPECT_NE(a.final_price, b.final_price);
+}
+
+TEST(PopulationSim, ThresholdKeysDoNotAliasAtFineTicks) {
+  // Regression: the caches once packed P* into 24 (t1) / 32 (level-1) bits
+  // and P_t0 into 24, so coordinates 2^24 ticks apart shared one entry.
+  PopulationConfig config = small_config();
+  config.tick = 0.01;
+  config.decision_tick = 0.01;
+  const double far = 0.01 * static_cast<double>(1LL << 24);
+  const ThresholdKey base = ThresholdKey::of(config, 1, 2, 2.0, 3.0);
+  const ThresholdKey star_far = ThresholdKey::of(config, 1, 2, 2.0 + far, 3.0);
+  const ThresholdKey t0_far = ThresholdKey::of(config, 1, 2, 2.0, 3.0 + far);
+  const ThresholdKey star_farther =
+      ThresholdKey::of(config, 1, 2, 2.0 + 256.0 * far, 3.0);
+  EXPECT_EQ(star_far.star_units - base.star_units, 1LL << 24);
+  EXPECT_EQ(t0_far.t0_units - base.t0_units, 1LL << 24);
+
+  std::map<ThresholdKey, int> t1_cache;
+  for (const ThresholdKey& key : {base, star_far, t0_far, star_farther}) {
+    t1_cache.emplace(key, 0);
+  }
+  EXPECT_EQ(t1_cache.size(), 4u);
+  // Level-1 entries ignore P_t0 only.
+  std::map<ThresholdKey, int> games;
+  for (const ThresholdKey& key : {base, star_far, t0_far, star_farther}) {
+    games.emplace(key.level1(), 0);
+  }
+  EXPECT_EQ(games.size(), 3u);
+  EXPECT_EQ(base.level1(), t0_far.level1());
+}
+
+void expect_bit_identical(const PopulationResult& a, const PopulationResult& b) {
+  const auto same = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof x) == 0;
+  };
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.orders_cancelled, b.orders_cancelled);
+  EXPECT_EQ(a.sessions, b.sessions);
+  EXPECT_EQ(a.never_initiated, b.never_initiated);
+  EXPECT_EQ(a.aborted_t2, b.aborted_t2);
+  EXPECT_EQ(a.aborted_t3, b.aborted_t3);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.starved, b.starved);
+  EXPECT_EQ(a.atomicity_lost, b.atomicity_lost);
+  EXPECT_EQ(a.stats.matches, b.stats.matches);
+  EXPECT_EQ(a.stats.initiated, b.stats.initiated);
+  EXPECT_EQ(a.stats.completed, b.stats.completed);
+  EXPECT_EQ(a.stats.expired, b.stats.expired);
+  EXPECT_TRUE(same(a.stats.mean_predicted_sr, b.stats.mean_predicted_sr));
+  EXPECT_TRUE(same(a.stats.latency_p50, b.stats.latency_p50));
+  EXPECT_TRUE(same(a.stats.latency_p90, b.stats.latency_p90));
+  EXPECT_TRUE(same(a.stats.latency_p99, b.stats.latency_p99));
+  EXPECT_TRUE(same(a.stats.lockup_token_a_hours, b.stats.lockup_token_a_hours));
+  EXPECT_TRUE(same(a.stats.lockup_token_b_hours, b.stats.lockup_token_b_hours));
+  EXPECT_TRUE(same(a.final_price, b.final_price));
+  EXPECT_TRUE(same(a.min_price, b.min_price));
+  EXPECT_TRUE(same(a.max_price, b.max_price));
+  EXPECT_EQ(a.blocks_sealed, b.blocks_sealed);
+  EXPECT_EQ(a.txs_included, b.txs_included);
+  EXPECT_EQ(a.txs_evicted, b.txs_evicted);
+  EXPECT_EQ(a.txs_expired, b.txs_expired);
+  EXPECT_EQ(a.rebids, b.rebids);
+  EXPECT_TRUE(same(a.fees_paid, b.fees_paid));
+  EXPECT_EQ(a.threshold_games, b.threshold_games);
+  EXPECT_EQ(a.t1_evaluations, b.t1_evaluations);
+  EXPECT_EQ(a.compactions, b.compactions);
+  EXPECT_EQ(a.sessions_retired, b.sessions_retired);
+  EXPECT_EQ(a.accounts_retired, b.accounts_retired);
+  EXPECT_EQ(a.txs_retired, b.txs_retired);
+  EXPECT_EQ(a.htlcs_retired, b.htlcs_retired);
+  EXPECT_EQ(a.log_truncated, b.log_truncated);
+  EXPECT_EQ(a.peak_live_sessions, b.peak_live_sessions);
+  EXPECT_EQ(a.conserved, b.conserved);
+  EXPECT_TRUE(same(a.end_time, b.end_time));
+}
+
+TEST(PopulationSim, ManyThresholdMissesPerEpochAreWorkerInvariant) {
+  // Twice the default volatility keeps moving the limits across the P*
+  // grid and P_t0 across the decision grid, so every epoch that spawns
+  // sessions brings many fresh level-1 and t1 keys, solved in
+  // parallel before the shards drain.  The result must not depend on how
+  // those solves were spread over the workers.
+  PopulationConfig config = small_config(240);
+  config.types = PopulationConfig::default_types();
+  config.arrival_rate = 300.0;
+  config.gbm.sigma = 0.2;
+  const double epoch = config.fee_a.block_interval;
+  ASSERT_EQ(epoch, config.fee_b.block_interval);
+
+  PopulationSim serial(config);
+  const PopulationResult reference = serial.run();
+  ASSERT_EQ(reference.sessions, config.sessions);
+  EXPECT_TRUE(reference.conserved);
+  // Sessions get past t1 and t2, so the parallel phase reads both levels.
+  EXPECT_GT(reference.aborted_t2, 0u);
+  EXPECT_GT(reference.completed, 0u);
+  // Arrivals span about this many epochs; the solves outnumber them
+  // several times over.
+  const double spawning_epochs =
+      std::ceil(static_cast<double>(reference.arrivals) / config.arrival_rate /
+                epoch) +
+      1.0;
+  EXPECT_GT(static_cast<double>(reference.threshold_games),
+            4.0 * spawning_epochs);
+  EXPECT_GE(reference.t1_evaluations, reference.threshold_games);
+
+  for (const std::uint64_t workers : {2u, 4u}) {
+    config.workers = workers;
+    PopulationSim sim(config);
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    expect_bit_identical(reference, sim.run());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Runs each bench from a BASE build and a HEAD build and asserts that
      the same set of them.
 
 The MC benches (x1, x5) run at SWAPGAME_MC_SCALE=8, as in CI's other MC
-gates.  No result cache is shared: both sides evaluate every cell cold.
+gates, and the x16 population at SWAPGAME_MC_SCALE=80, as in perf-smoke's
+x16 determinism step.  No result cache is shared: both sides evaluate
+every cell cold.
 
 Usage:
   python3 tools/artifact_diff.py --base-build ../base/build \\
@@ -52,6 +54,7 @@ BENCHES = {
     "bench_x13_sensitivity": {},
     "bench_x5_mechanism_comparison": MC_ENV,
     "bench_x1_mc_vs_analytic": MC_ENV,
+    "bench_x16_population": {"SWAPGAME_MC_SCALE": "80"},
 }
 
 
