@@ -114,9 +114,9 @@ int main() {
   // --- End-to-end protocol MC per mechanism. --------------------------------
   const double d = 0.5;
   const std::vector<sim::ScenarioPoint> points = {
-      {"htlc", p, 2.0, sim::Mechanism::kNone, 0.0},
-      {"htlc+collateral", p, 2.0, sim::Mechanism::kCollateral, d},
-      {"htlc+premium", p, 2.0, sim::Mechanism::kPremium, d},
+      {"htlc", p, 2.0, sim::Mechanism::kNone, 0.0, {}},
+      {"htlc+collateral", p, 2.0, sim::Mechanism::kCollateral, d, {}},
+      {"htlc+premium", p, 2.0, sim::Mechanism::kPremium, d, {}},
   };
   sim::McConfig cfg;
   cfg.samples = 3000;

@@ -43,10 +43,11 @@ int main(int argc, char** argv) {
   // The candidates, at a moderate deposit.
   const double deposit = 0.5;
   const std::vector<sim::ScenarioPoint> points = {
-      {"plain HTLC", params, p_star, sim::Mechanism::kNone, 0.0},
+      {"plain HTLC", params, p_star, sim::Mechanism::kNone, 0.0, {}},
       {"collateral Q=0.5", params, p_star, sim::Mechanism::kCollateral,
-       deposit},
-      {"premium pr=0.5", params, p_star, sim::Mechanism::kPremium, deposit},
+       deposit, {}},
+      {"premium pr=0.5", params, p_star, sim::Mechanism::kPremium, deposit,
+       {}},
   };
   sim::McConfig cfg;
   cfg.samples = samples;

@@ -1,7 +1,7 @@
 // swapgame CLI: one-stop analyzer for an HTLC atomic swap.
 //
-//   $ ./swapgame_cli --p-star 2.0 --sigma 0.1 --mechanism collateral \
-//                    --deposit 0.5 --mc 2000
+//   $ ./swapgame_cli --p-star 2.0 --sigma 0.1 --mechanism collateral
+//         --deposit 0.5 --mc 2000          (one command line)
 //
 // Flags (all optional; defaults are Table III):
 //   --p-star X       agreed exchange rate (default: negotiate via Nash)
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
 
   if (opts.mc_samples > 0 && initiated) {
     const std::vector<sim::ScenarioPoint> points = {
-        {"cli", opts.params, p_star, opts.mechanism, opts.deposit}};
+        {"cli", opts.params, p_star, opts.mechanism, opts.deposit, {}}};
     sim::McConfig cfg;
     cfg.samples = opts.mc_samples;
     cfg.seed = 12345;

@@ -1,6 +1,5 @@
 #include "event_queue.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -16,17 +15,6 @@ void EventQueue::set_metrics(obs::MetricsRegistry* metrics) {
       metrics == nullptr ? nullptr : &metrics->counter("queue.events_processed");
 }
 
-void EventQueue::set_shards(std::size_t count) {
-  if (count == 0) {
-    throw std::invalid_argument("EventQueue::set_shards: count must be >= 1");
-  }
-  if (pending_ != 0) {
-    throw std::logic_error(
-        "EventQueue::set_shards: queue must be empty when resharded");
-  }
-  shards_.assign(count, {});
-}
-
 void EventQueue::schedule_at(Hours when, Callback cb) {
   if (!std::isfinite(when)) {
     throw std::invalid_argument("EventQueue::schedule_at: non-finite time");
@@ -37,15 +25,31 @@ void EventQueue::schedule_at(Hours when, Callback cb) {
   if (!cb) {
     throw std::invalid_argument("EventQueue::schedule_at: empty callback");
   }
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    if (slots_.size() >= std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("EventQueue::schedule_at: too many events");
+    }
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
   if (scheduled_counter_ != nullptr) scheduled_counter_->inc();
-  // The sequence number is GLOBAL: shard routing (seq % K) only picks the
-  // heap the event waits in, never its place in the (when, seq) order, so
-  // every shard count replays the identical execution.
-  const std::uint64_t seq = next_seq_++;
-  std::vector<Event>& heap = shards_[seq % shards_.size()];
-  heap.push_back(Event{when, seq, std::move(cb)});
-  std::push_heap(heap.begin(), heap.end(), Later{});
-  ++pending_;
+
+  // Sift up: move parents down into the hole until the new key fits.
+  const Key key{when, next_seq_++, slot};
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
 }
 
 void EventQueue::schedule_in(Hours delay, Callback cb) {
@@ -55,34 +59,44 @@ void EventQueue::schedule_in(Hours delay, Callback cb) {
   schedule_at(now_ + delay, std::move(cb));
 }
 
-std::size_t EventQueue::min_shard() const noexcept {
-  std::size_t best = shards_.size();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].empty()) continue;
-    if (best == shards_.size()) {
-      best = i;
-      continue;
+void EventQueue::run_top() {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n != 0) {
+    // Sift down: move the earliest child up into the hole until the old
+    // last key fits.
+    std::size_t i = 0;
+    while (true) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      const std::size_t end = first + 4 < n ? first + 4 : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+      if (!before(heap_[best], last)) break;
+      heap_[i] = heap_[best];
+      i = best;
     }
-    const Event& a = shards_[i].front();
-    const Event& b = shards_[best].front();
-    if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) best = i;
+    heap_[i] = last;
   }
-  return best;
+
+  // Take the callback out of its slot before running it: it may schedule
+  // new events (which can reuse the slot or grow the slab), and the reset
+  // slot holds no captures while it waits for reuse.
+  Callback cb = std::move(slots_[top.slot]);
+  slots_[top.slot] = nullptr;
+  free_slots_.push_back(top.slot);
+  now_ = top.when;
+  if (processed_counter_ != nullptr) processed_counter_->inc();
+  cb();
 }
 
 bool EventQueue::step() {
-  if (pending_ == 0) return false;
-  // pop_heap moves the earliest event of the winning shard to its back;
-  // take it out before running the callback so the callback may schedule
-  // new events (into any shard).
-  std::vector<Event>& heap = shards_[min_shard()];
-  std::pop_heap(heap.begin(), heap.end(), Later{});
-  Event ev = std::move(heap.back());
-  heap.pop_back();
-  --pending_;
-  now_ = ev.when;
-  if (processed_counter_ != nullptr) processed_counter_->inc();
-  ev.cb();
+  if (heap_.empty()) return false;
+  run_top();
   return true;
 }
 
@@ -97,8 +111,8 @@ std::size_t EventQueue::drain_before(Hours until) {
     throw std::invalid_argument("EventQueue::drain_before: non-finite time");
   }
   std::size_t processed = 0;
-  while (pending_ != 0 && shards_[min_shard()].front().when < until) {
-    step();
+  while (!heap_.empty() && heap_.front().when < until) {
+    run_top();
     ++processed;
   }
   return processed;
@@ -109,8 +123,8 @@ std::size_t EventQueue::run_until(Hours until) {
     throw std::invalid_argument("EventQueue::run_until: time is in the past");
   }
   std::size_t processed = 0;
-  while (pending_ != 0 && shards_[min_shard()].front().when <= until) {
-    step();
+  while (!heap_.empty() && heap_.front().when <= until) {
+    run_top();
     ++processed;
   }
   now_ = until;

@@ -6,15 +6,15 @@
 // simulation times (hours).  Events at equal times fire in scheduling order
 // (FIFO tie-break), which makes simulations fully deterministic.
 //
-// Sharded mode (set_shards): the queue can split its storage across K
-// per-shard binary heaps.  Sequence numbers stay GLOBAL -- an event is
-// stamped with next_seq_ at scheduling time and routed to shard seq % K --
-// and step() pops the minimum (when, seq) across the K shard heads, so the
-// execution order is bit-identical to the single-heap queue at every K.
-// What sharding buys is depth: population-scale runs keep 10^5+ pending
-// events resident, and K smaller heaps mean shallower sift paths and
-// better cache locality on the push/pop hot path, while the O(K) head
-// merge stays trivial for the small K (2..64) that matters.
+// Storage: one flat 4-ary min-heap of 24-byte Key{when, seq, slot} records
+// ordered by (when, seq), plus a callback slab -- the std::function objects
+// live in slots_ and never move while the heap sifts; freed slot indices
+// are recycled through a free list.  Sequence numbers are unique, so
+// (when, seq) is a strict total order and the execution order does not
+// depend on the heap's arity or shape.  A 4-ary heap halves the depth of a
+// binary one, and sifting 24-byte keys instead of 48-byte key+callback
+// events keeps the pop path (the queue's hot spot in population runs)
+// within fewer cache lines.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +39,6 @@ class EventQueue {
   /// Current simulation time (hours since t0).
   [[nodiscard]] Hours now() const noexcept { return now_; }
 
-  /// Splits event storage across `count` per-shard heaps (see file
-  /// comment).  Execution order is unchanged at every count -- sequence
-  /// numbers are global -- so this is purely a storage/locality knob.
-  /// Only callable while the queue is empty; throws std::logic_error
-  /// otherwise and std::invalid_argument for count == 0.
-  void set_shards(std::size_t count);
-  [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
-
   /// Schedules `cb` at absolute time `when`.  Scheduling in the past (before
   /// now()) throws std::invalid_argument; scheduling exactly at now() is
   /// allowed and runs on the next step.
@@ -55,7 +47,9 @@ class EventQueue {
   /// Schedules `cb` at now() + delay (delay >= 0).
   void schedule_in(Hours delay, Callback cb);
 
-  /// Runs the earliest event.  Returns false when the queue is empty.
+  /// Runs the earliest event.  Returns false when the queue is empty.  The
+  /// callback is moved out of its slab slot before it runs, so whatever it
+  /// captured is destroyed when it returns.
   bool step();
 
   /// Runs events until the queue is empty or `limit` events have run.
@@ -78,14 +72,14 @@ class EventQueue {
   /// time-gated operations (Ledger::compact) run against their clocks.
   void advance_to(Hours t) noexcept { if (t > now_) now_ = t; }
 
-  [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Time of the earliest pending event, or +infinity when empty (the
   /// parallel population engine uses this to skip event-free epochs).
   [[nodiscard]] Hours next_time() const noexcept {
-    if (pending_ == 0) return std::numeric_limits<Hours>::infinity();
-    return shards_[min_shard()].front().when;
+    return heap_.empty() ? std::numeric_limits<Hours>::infinity()
+                         : heap_.front().when;
   }
 
   /// Optional metrics sink (nullptr = disabled, the default): counts
@@ -97,31 +91,21 @@ class EventQueue {
   static constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
 
  private:
-  struct Event {
+  struct Key {
     Hours when;
-    std::uint64_t seq;  // FIFO tie-break
-    Callback cb;
+    std::uint64_t seq;   // FIFO tie-break, unique per queue
+    std::uint32_t slot;  // index of the callback in slots_
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  [[nodiscard]] static bool before(const Key& a, const Key& b) noexcept {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
 
-  /// Index of the shard whose head is the globally earliest (when, seq)
-  /// event; shards_ must be non-empty overall.
-  [[nodiscard]] std::size_t min_shard() const noexcept;
+  /// Pops the heap top and runs its callback; the heap must be non-empty.
+  void run_top();
 
-  // Explicit binary heaps (std::push_heap/std::pop_heap over vectors, same
-  // (when, seq) ordering a priority_queue<Event, ..., Later> had): pop_heap
-  // moves the earliest event to the back, where step() can move from it
-  // legally -- priority_queue::top() only offers a const reference, and
-  // moving through a const_cast on it is formally UB.  One heap per shard;
-  // the default single shard reproduces the classic queue exactly.
-  std::vector<std::vector<Event>> shards_ =
-      std::vector<std::vector<Event>>(1);
-  std::size_t pending_ = 0;
+  std::vector<Key> heap_;  // 4-ary: children of i are 4i+1 .. 4i+4
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
   Hours now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   obs::Counter* scheduled_counter_ = nullptr;

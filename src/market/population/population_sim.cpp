@@ -26,6 +26,8 @@ constexpr std::uint64_t kPriceStream = 2'000'000'011ULL;
 // rides in the low bits of the fee-market owner tag (idx * 4 + stage).
 enum Stage : int { kDeployA = 0, kDeployB = 1, kClaimB = 2, kClaimA = 3 };
 
+/// Nearest tick count of x.  PopulationConfig::validate() bounds p0/tick
+/// (with kTickHeadroom for drift), so the quotient stays an exact integer.
 [[nodiscard]] std::int64_t quantize(double x, double tick) {
   return std::llround(x / tick);
 }
@@ -80,6 +82,18 @@ void PopulationConfig::validate() const {
   positive(tau_a, "tau_a");
   positive(tau_b, "tau_b");
   positive(eps_b, "eps_b");
+  // quantize() rounds price/tick to an int64; beyond 2^53 the quotient is
+  // no longer an exact integer and far beyond it llround overflows, which
+  // would collapse every limit and threshold key onto one value.
+  const auto fine_enough = [this](double t, const char* what) {
+    if (!(p0 / t * kTickHeadroom <= 9007199254740992.0)) {  // 2^53
+      throw std::invalid_argument(std::string("PopulationConfig: ") + what +
+                                  " too fine for p0 (p0/" + what +
+                                  " must be <= 2^53 / kTickHeadroom)");
+    }
+  };
+  fine_enough(tick, "tick");
+  fine_enough(decision_tick, "decision_tick");
   if (!(limit_spread > 0.0) || !(limit_spread < 1.0)) {
     throw std::invalid_argument(
         "PopulationConfig: limit_spread must be in (0, 1)");
@@ -155,7 +169,6 @@ PopulationSim::PopulationSim(PopulationConfig config)
     : config_(std::move(config)) {
   if (config_.types.empty()) config_.types = PopulationConfig::default_types();
   config_.validate();
-  queue_.set_shards(config_.shards);
   chain::ChainParams params_a;
   params_a.id = chain::ChainId::kChainA;
   params_a.confirmation_time = config_.tau_a;
@@ -167,7 +180,6 @@ PopulationSim::PopulationSim(PopulationConfig config)
   shards_.reserve(config_.workers);
   for (std::uint64_t w = 0; w < config_.workers; ++w) {
     auto sh = std::make_unique<Shard>();
-    sh->queue.set_shards(config_.shards);
     sh->ledger_a = std::make_unique<chain::Ledger>(params_a, sh->queue);
     sh->ledger_b = std::make_unique<chain::Ledger>(params_b, sh->queue);
     shards_.push_back(std::move(sh));
@@ -884,17 +896,15 @@ void PopulationSim::maybe_compact(double now) {
   // Retire finalized sessions from the deque front.  The accounts can only
   // be folded once every refund has credited them (chain-B refunds confirm
   // after the watchdog when t_b_expiry + tau_b exceeds it), so stop at the
-  // first session still waiting on a locked contract.
+  // first session still waiting on a locked contract.  This walk stays
+  // serial; it only records which shard owns each retired session.
+  std::vector<std::vector<std::uint64_t>> retired(shards_.size());
   while (!sessions_.empty()) {
     const Session& s = sessions_.front();
-    Shard& sh = *shards_[session_offset_ % shards_.size()];
-    if (!s.finalized || !session_settled(sh, s)) break;
+    const std::size_t w = session_offset_ % shards_.size();
+    if (!s.finalized || !session_settled(*shards_[w], s)) break;
     if (s.initiated) {
-      const std::string tag = std::to_string(session_offset_);
-      sh.ledger_a->retire_account({"A" + tag});
-      sh.ledger_a->retire_account({"B" + tag});
-      sh.ledger_b->retire_account({"A" + tag});
-      sh.ledger_b->retire_account({"B" + tag});
+      retired[w].push_back(session_offset_);
       result_.accounts_retired += 4;
     }
     sessions_.pop_front();
@@ -902,14 +912,29 @@ void PopulationSim::maybe_compact(double now) {
     ++result_.sessions_retired;
   }
 
-  for (const auto& shp : shards_) {
-    for (chain::Ledger* ledger : {shp->ledger_a.get(), shp->ledger_b.get()}) {
-      const chain::CompactionReport report = ledger->compact(watermark);
-      ++result_.compactions;
-      result_.txs_retired += report.transactions_retired;
-      result_.htlcs_retired += report.htlcs_retired;
-      result_.log_truncated += report.log_truncated;
-    }
+  // Each shard folds its retired accounts and sweeps its two ledgers on the
+  // pool: a task touches only its own shard's ledgers (which carry no trace
+  // or auditor, so nothing shared is written), and the reports fold below
+  // in shard order as integer sums, identical at every worker count.
+  std::vector<chain::CompactionReport> reports(2 * shards_.size());
+  for_each_index(pool_.get(), shards_.size(), shards_.size(),
+                 [&](std::size_t w) {
+                   Shard& sh = *shards_[w];
+                   for (const std::uint64_t idx : retired[w]) {
+                     const std::string tag = std::to_string(idx);
+                     sh.ledger_a->retire_account({"A" + tag});
+                     sh.ledger_a->retire_account({"B" + tag});
+                     sh.ledger_b->retire_account({"A" + tag});
+                     sh.ledger_b->retire_account({"B" + tag});
+                   }
+                   reports[2 * w] = sh.ledger_a->compact(watermark);
+                   reports[2 * w + 1] = sh.ledger_b->compact(watermark);
+                 });
+  for (const chain::CompactionReport& report : reports) {
+    ++result_.compactions;
+    result_.txs_retired += report.transactions_retired;
+    result_.htlcs_retired += report.htlcs_retired;
+    result_.log_truncated += report.log_truncated;
   }
 }
 

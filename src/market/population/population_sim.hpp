@@ -139,8 +139,11 @@ struct PopulationConfig {
     std::uint64_t interval = 2048;
   };
   Compaction compaction{};
-  /// Event-queue storage shards (chain::EventQueue::set_shards), applied
-  /// to the global queue and each worker queue; 1 = classic heap.
+  /// Inert: chain::EventQueue is one flat heap and no longer splits its
+  /// storage, so this field affects nothing.  It stays only because it is
+  /// a canonical RunSpec line (schema v5) -- dropping it would re-key every
+  /// cached market_sim result -- and goes at the next schema re-key.
+  /// validate() still range-checks it to [1, 4096].
   std::uint64_t shards = 1;
   /// Intra-run worker shards (docs/MARKET.md).  Sessions are pinned to
   /// shard index % workers and their per-epoch event drains fan out on a
@@ -148,11 +151,18 @@ struct PopulationConfig {
   /// are bit-identical at every setting -- this is a wall-clock knob only.
   std::uint64_t workers = 1;
 
+  /// Price drift a tick must absorb: validate() requires
+  /// p0 / tick * kTickHeadroom <= 2^53 (same for decision_tick), so prices
+  /// up to kTickHeadroom x p0 still quantize to exact integer tick counts.
+  static constexpr double kTickHeadroom = 1048576.0;  // 2^20
+
   /// The default three-type population (patient/base/impatient).
   [[nodiscard]] static std::vector<TraderType> default_types();
 
-  /// Throws std::invalid_argument on non-positive rates/ticks/sessions or
-  /// invalid chain/fee parameters.
+  /// Throws std::invalid_argument on non-positive rates/ticks/sessions,
+  /// ticks so fine that p0/tick or p0/decision_tick (times kTickHeadroom)
+  /// leaves the range where doubles hold every integer (2^53), or invalid
+  /// chain/fee parameters.
   void validate() const;
 };
 

@@ -168,6 +168,41 @@ TEST(PopulationSim, ValidatesConfig) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
+TEST(PopulationSim, RejectsTicksTooFineToQuantize) {
+  // Regression: quantize() is llround(price / tick).  At tick = 1e-20 the
+  // quotient overflows int64 (llround returned LLONG_MIN for every price),
+  // so every limit snapped to one value and every P* shared one key.
+  const auto valid = [] {
+    PopulationConfig config = small_config();
+    config.types = PopulationConfig::default_types();
+    return config;
+  };
+  PopulationConfig config = valid();
+  EXPECT_NO_THROW(config.validate());
+  config.tick = 1e-20;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(PopulationSim{config}, std::invalid_argument);
+  config = valid();
+  config.decision_tick = 1e-20;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+
+  // The bound is p0 / tick * kTickHeadroom <= 2^53, on both ticks.
+  const double finest = config.p0 * PopulationConfig::kTickHeadroom /
+                        9007199254740992.0;
+  config = valid();
+  config.tick = finest;
+  config.decision_tick = finest;
+  EXPECT_NO_THROW(config.validate());
+  config.tick = 0.5 * finest;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.tick = finest;
+  config.decision_tick = 0.5 * finest;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.decision_tick = finest;
+  config.p0 *= 2.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
 TEST(PopulationSim, OutcomesPartitionSessionsAndLedgersConserve) {
   PopulationSim sim(small_config());
   const PopulationResult r = sim.run();
@@ -413,6 +448,12 @@ TEST(EngineMarketSim, CellMatchesDirectRun) {
   EXPECT_EQ(cell.at("latency_p99"), direct.stats.latency_p99);
   EXPECT_EQ(cell.at("fees_paid"), direct.fees_paid);
   EXPECT_EQ(cell.at("conserved"), 1.0);
+}
+
+TEST(EngineMarketSim, CellRejectsTickTooFineToQuantize) {
+  engine::RunSpec spec = market_spec(200, 7);
+  spec.population.tick = 1e-20;
+  EXPECT_THROW((void)engine::evaluate_cell(spec), std::invalid_argument);
 }
 
 TEST(EngineMarketSim, BatchIsBitIdenticalAcrossThreadCounts) {

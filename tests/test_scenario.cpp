@@ -24,9 +24,9 @@ TEST(MechanismNames, ToString) {
 
 TEST(RunScenarios, AnalyticSrMatchesPerMechanismSolvers) {
   const std::vector<ScenarioPoint> points = {
-      {"plain", defaults(), 2.0, Mechanism::kNone, 0.0},
-      {"collateral", defaults(), 2.0, Mechanism::kCollateral, 0.5},
-      {"premium", defaults(), 2.0, Mechanism::kPremium, 0.5},
+      {"plain", defaults(), 2.0, Mechanism::kNone, 0.0, {}},
+      {"collateral", defaults(), 2.0, Mechanism::kCollateral, 0.5, {}},
+      {"premium", defaults(), 2.0, Mechanism::kPremium, 0.5, {}},
   };
   McConfig cfg;
   cfg.samples = 400;
@@ -47,8 +47,8 @@ TEST(RunScenarios, AnalyticSrMatchesPerMechanismSolvers) {
 
 TEST(RunScenarios, ProtocolSrTracksAnalytic) {
   const std::vector<ScenarioPoint> points = {
-      {"plain", defaults(), 2.0, Mechanism::kNone, 0.0},
-      {"collateral", defaults(), 2.0, Mechanism::kCollateral, 1.0},
+      {"plain", defaults(), 2.0, Mechanism::kNone, 0.0, {}},
+      {"collateral", defaults(), 2.0, Mechanism::kCollateral, 1.0, {}},
   };
   McConfig cfg;
   cfg.samples = 1200;
@@ -65,7 +65,7 @@ TEST(RunScenarios, ProtocolSrTracksAnalytic) {
 
 TEST(RunScenarios, NonViableCellReportsNotInitiated) {
   const std::vector<ScenarioPoint> points = {
-      {"absurd-rate", defaults(), 6.0, Mechanism::kNone, 0.0},
+      {"absurd-rate", defaults(), 6.0, Mechanism::kNone, 0.0, {}},
   };
   McConfig cfg;
   cfg.samples = 50;

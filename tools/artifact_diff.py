@@ -10,10 +10,11 @@ Runs each bench from a BASE build and a HEAD build and asserts that
   2. every TRACE_*.jsonl artifact is byte-identical, and both runs wrote
      the same set of them.
 
-The MC benches (x1, x5) run at SWAPGAME_MC_SCALE=8, as in CI's other MC
-gates, and the x16 population at SWAPGAME_MC_SCALE=80, as in perf-smoke's
-x16 determinism step.  No result cache is shared: both sides evaluate
-every cell cold.
+The MC benches x1 and x5 run at SWAPGAME_MC_SCALE=8, as in CI's other MC
+gates; the x16 population and the protocol-MC benches x9, x11, x12 and
+x14 (which drive proto::run_swap's event queues) at SWAPGAME_MC_SCALE=80,
+as in perf-smoke's x16 determinism step.  No result cache is shared: both
+sides evaluate every cell cold.
 
 Usage:
   python3 tools/artifact_diff.py --base-build ../base/build \\
@@ -34,9 +35,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from cache_check import stripped  # noqa: E402
 
 MC_ENV = {"SWAPGAME_MC_SCALE": "8"}
+SMOKE_ENV = {"SWAPGAME_MC_SCALE": "80"}
 
 # bench binary -> extra environment
 BENCHES = {
+    "bench_fig2_timeline": {},
+    "bench_table1_balances": {},
     "bench_table3_feasible_band": {},
     "bench_fig3_alice_t3": {},
     "bench_fig4_bob_t2": {},
@@ -54,7 +58,11 @@ BENCHES = {
     "bench_x13_sensitivity": {},
     "bench_x5_mechanism_comparison": MC_ENV,
     "bench_x1_mc_vs_analytic": MC_ENV,
-    "bench_x16_population": {"SWAPGAME_MC_SCALE": "80"},
+    "bench_x9_timing_robustness": SMOKE_ENV,
+    "bench_x11_protocol_families": SMOKE_ENV,
+    "bench_x12_multihop": SMOKE_ENV,
+    "bench_x14_fault_robustness": SMOKE_ENV,
+    "bench_x16_population": SMOKE_ENV,
 }
 
 
