@@ -35,7 +35,11 @@ double GbmLaw::expectation() const noexcept {
 
 double GbmLaw::pdf(double x) const noexcept {
   if (!(x > 0.0)) return 0.0;
-  const double z = (std::log(x) - log_mean_) / log_sd_;
+  return pdf(x, std::log(x));
+}
+
+double GbmLaw::pdf(double x, double log_x) const noexcept {
+  const double z = (log_x - log_mean_) / log_sd_;
   return normal_pdf(z) / (x * log_sd_);
 }
 
@@ -80,6 +84,25 @@ double GbmLaw::partial_expectation_above(double L) const noexcept {
 
 double GbmLaw::sample_from_normal(double z) const noexcept {
   return std::exp(log_mean_ + log_sd_ * z);
+}
+
+CutoffLaw::CutoffLaw(const GbmParams& params, double horizon, double cutoff)
+    : cutoff_(cutoff) {
+  // The same checks, in the same order, as the GbmLaw constructor.
+  params.validate();
+  if (!(horizon > 0.0) || !std::isfinite(horizon)) {
+    throw std::invalid_argument(
+        "CutoffLaw: horizon must be positive and finite");
+  }
+  drift_ = (params.mu - 0.5 * params.sigma * params.sigma) * horizon;
+  log_sd_ = params.sigma * std::sqrt(horizon);
+  variance_ = log_sd_ * log_sd_;
+  growth_ = std::exp(params.mu * horizon);
+  if (cutoff > 0.0 && !std::isinf(cutoff)) log_cutoff_ = std::log(cutoff);
+}
+
+void CutoffLaw::throw_bad_price() {
+  throw std::invalid_argument("CutoffLaw: price must be positive and finite");
 }
 
 }  // namespace swapgame::math

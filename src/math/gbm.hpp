@@ -10,9 +10,16 @@
 // exposes partial expectations -- E[P 1{P<=L}] and E[P 1{P>L}] -- which turn
 // the paper's utility integrals (Eqs. (20), (21), (25), (26), (35)-(37))
 // into closed forms, plus quantiles and exact path sampling.
+//
+// CutoffLaw is the same law read against one fixed cutoff from many start
+// prices: the hot form behind the t2-stage kernel (model/
+// backward_induction.hpp), with every start-price-invariant factor hoisted.
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
+
+#include "special.hpp"
 
 namespace swapgame::math {
 
@@ -46,6 +53,11 @@ class GbmLaw {
   /// Returns 0 for x <= 0.
   [[nodiscard]] double pdf(double x) const noexcept;
 
+  /// pdf(x) for x > 0 given log_x == std::log(x), so a caller that already
+  /// holds the log (a quadrature node shared with a CutoffLaw) pays no
+  /// second one.  Bit-identical to pdf(x).
+  [[nodiscard]] double pdf(double x, double log_x) const noexcept;
+
   /// P[P_{t+tau} <= x] -- the paper's script-C operator (with the erfc sign
   /// corrected; see DESIGN.md).  Returns 0 for x <= 0.
   [[nodiscard]] double cdf(double x) const noexcept;
@@ -77,6 +89,82 @@ class GbmLaw {
   double horizon_;
   double log_mean_;  // ln(P_t) + (mu - sigma^2/2) tau
   double log_sd_;    // sigma sqrt(tau)
+};
+
+/// The GBM law over one horizon tau read against one fixed cutoff L, from
+/// any start price P_t: P[P_{t+tau} > L], P[P_{t+tau} <= L] and the two
+/// partial expectations at L.  Everything that does not depend on P_t --
+/// the drift (mu - sigma^2/2) tau, sigma sqrt(tau), e^{mu tau} and ln L --
+/// is computed once, so a start price costs one log (at()) plus the one
+/// erfc each quantity needs.  Every value is bit-identical to the same
+/// method of GbmLaw(params, P_t, tau) at L: the expressions and their
+/// operand order are GbmLaw's, including the L <= 0 and L = +inf branches.
+class CutoffLaw {
+ public:
+  /// A start price with its log and the law's log-mean from it.  It depends
+  /// only on (params, horizon), so laws at other cutoffs over the same
+  /// horizon may read it too.
+  struct Point {
+    double price;
+    double log_price;
+    double log_mean;  // ln(P_t) + (mu - sigma^2/2) tau
+  };
+
+  CutoffLaw() = default;
+  /// Validates params and horizon as GbmLaw does (std::invalid_argument).
+  /// Any cutoff is accepted; L <= 0 and L = +inf take GbmLaw's branches.
+  CutoffLaw(const GbmParams& params, double horizon, double cutoff);
+
+  [[nodiscard]] double cutoff() const noexcept { return cutoff_; }
+
+  /// Throws std::invalid_argument unless price > 0 and finite.
+  [[nodiscard]] Point at(double price) const {
+    if (!(price > 0.0) || !std::isfinite(price)) throw_bad_price();
+    const double log_price = std::log(price);
+    return {price, log_price, log_price + drift_};
+  }
+
+  /// P[P_{t+tau} > L].
+  [[nodiscard]] double survival(const Point& at) const noexcept {
+    if (!(cutoff_ > 0.0)) return 1.0;
+    if (std::isinf(cutoff_)) return 0.0;
+    return normal_sf((log_cutoff_ - at.log_mean) / log_sd_);
+  }
+
+  /// P[P_{t+tau} <= L].
+  [[nodiscard]] double cdf(const Point& at) const noexcept {
+    if (!(cutoff_ > 0.0)) return 0.0;
+    if (std::isinf(cutoff_)) return 1.0;
+    return normal_cdf((log_cutoff_ - at.log_mean) / log_sd_);
+  }
+
+  /// E[P_{t+tau} 1{P_{t+tau} <= L}].
+  [[nodiscard]] double partial_expectation_below(
+      const Point& at) const noexcept {
+    if (!(cutoff_ > 0.0)) return 0.0;
+    if (std::isinf(cutoff_)) return at.price * growth_;
+    const double d = (log_cutoff_ - at.log_mean - variance_) / log_sd_;
+    return at.price * growth_ * normal_cdf(d);
+  }
+
+  /// E[P_{t+tau} 1{P_{t+tau} > L}].
+  [[nodiscard]] double partial_expectation_above(
+      const Point& at) const noexcept {
+    if (!(cutoff_ > 0.0)) return at.price * growth_;
+    if (std::isinf(cutoff_)) return 0.0;
+    const double d = (log_cutoff_ - at.log_mean - variance_) / log_sd_;
+    return at.price * growth_ * normal_sf(d);
+  }
+
+ private:
+  [[noreturn]] static void throw_bad_price();
+
+  double drift_ = 0.0;       // (mu - sigma^2/2) tau
+  double log_sd_ = 0.0;      // sigma sqrt(tau)
+  double variance_ = 0.0;    // log_sd_ * log_sd_
+  double growth_ = 0.0;      // e^{mu tau}
+  double cutoff_ = 0.0;
+  double log_cutoff_ = 0.0;  // ln L, when 0 < L < inf
 };
 
 }  // namespace swapgame::math

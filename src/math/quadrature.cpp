@@ -1,6 +1,5 @@
 #include "quadrature.hpp"
 
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -46,16 +45,6 @@ double adaptive_panel(SimpsonState& st, double a, double b, double fa, double fm
   return adaptive_panel(st, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) +
          adaptive_panel(st, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1);
 }
-
-// 15-point Gauss-Legendre nodes/weights on [-1, 1] (symmetric; positive half).
-constexpr std::array<double, 8> kGl15Nodes = {
-    0.0000000000000000, 0.2011940939974345, 0.3941513470775634,
-    0.5709721726085388, 0.7244177313601700, 0.8482065834104272,
-    0.9372733924007059, 0.9879925180204854};
-constexpr std::array<double, 8> kGl15Weights = {
-    0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
-    0.1662692058169939, 0.1395706779261543, 0.1071592204671719,
-    0.0703660474881081, 0.0307532419961173};
 
 }  // namespace
 
@@ -127,25 +116,8 @@ QuadratureResult integrate_to_infinity(const Integrand& f, double a,
   return integrate(g, 0.0, 1.0 - 1e-12, opts);
 }
 
-double gauss_legendre(const Integrand& f, double a, double b, int panels) {
-  if (!std::isfinite(a) || !std::isfinite(b)) {
-    throw std::invalid_argument("gauss_legendre: bounds must be finite");
-  }
-  if (panels < 1) panels = 1;
-  const double h = (b - a) / panels;
-  double total = 0.0;
-  for (int p = 0; p < panels; ++p) {
-    const double pa = a + p * h;
-    const double mid = pa + 0.5 * h;
-    const double half = 0.5 * h;
-    double s = kGl15Weights[0] * f(mid);
-    for (std::size_t i = 1; i < kGl15Nodes.size(); ++i) {
-      const double dx = half * kGl15Nodes[i];
-      s += kGl15Weights[i] * (f(mid - dx) + f(mid + dx));
-    }
-    total += s * half;
-  }
-  return total;
+void detail::throw_gauss_legendre_bounds() {
+  throw std::invalid_argument("gauss_legendre: bounds must be finite");
 }
 
 }  // namespace swapgame::math

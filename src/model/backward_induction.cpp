@@ -8,6 +8,21 @@
 
 namespace swapgame::model {
 
+// ----------------------------------------------------------- t2-stage kernel
+
+T2Kernel::T2Kernel(const SwapParams& params, double p_star, double cutoff,
+                   T2Deposits deposits)
+    : law_(params.gbm, params.tau_b, cutoff),
+      deposits_(deposits),
+      alice_growth_((1.0 + params.alice.alpha) *
+                    std::exp((params.gbm.mu - params.alice.r) * params.tau_b)),
+      alice_refund_(stage::alice_t3_stop(params, p_star)),
+      alice_discount_(std::exp(-params.alice.r * params.tau_b)),
+      bob_claim_(stage::bob_t3_cont(params, p_star)),
+      bob_growth_(
+          std::exp((params.gbm.mu - params.bob.r) * 2.0 * params.tau_b)),
+      bob_discount_(std::exp(-params.bob.r * params.tau_b)) {}
+
 // ---------------------------------------------------------- region integrals
 
 double region_success_rate(const SwapParams& params,
@@ -15,6 +30,7 @@ double region_success_rate(const SwapParams& params,
                            RegionQuadrature quad) {
   if (region.empty()) return 0.0;
   const math::GbmLaw law_a(params.gbm, params.p_t0, params.tau_a);
+  const math::CutoffLaw law_b(params.gbm, params.tau_b, cutoff);
   double sr = 0.0;
   for (const math::Interval& iv : region.intervals()) {
     const double lo = std::max(iv.lo, quad.lo_clamp);
@@ -25,9 +41,9 @@ double region_success_rate(const SwapParams& params,
       continue;
     }
     sr += math::gauss_legendre(
-        [&params, &law_a, cutoff](double x) {
-          const math::GbmLaw law_b(params.gbm, x, params.tau_b);
-          return law_a.pdf(x) * law_b.survival(cutoff);
+        [&law_a, &law_b](double x) {
+          const math::CutoffLaw::Point at = law_b.at(x);
+          return law_a.pdf(x, at.log_price) * law_b.survival(at);
         },
         lo, iv.hi, quad.panels);
   }

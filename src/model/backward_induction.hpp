@@ -5,8 +5,11 @@
 // Every mechanism (BasicGame, PremiumGame, CollateralGame, ExtendedGame,
 // the alpha-uncertainty game) solves the same t4 -> t3 -> t2 -> t1
 // recursion; this module owns the parts they share:
-//   * the basic stage payoffs, Eqs. (14)-(23), as functions of the cutoff,
-//     with optional deposit terms (namespace `stage`);
+//   * the basic t3 stage payoffs, Eqs. (14)-(19), and Eqs. (22)/(23), as
+//     functions of the cutoff (namespace `stage`);
+//   * the t2-stage kernel (T2Kernel), the single implementation of the
+//     closed-form t2 continuation values, Eqs. (20)/(21), with optional
+//     deposit terms;
 //   * the t2-region solve: scan window, tie margin, cold or verified warm
 //     root isolation and the infinite-tail trim (solve_t2_region);
 //   * the region integrals under the tau_a law: the t1 composition
@@ -18,10 +21,19 @@
 // samples, quadrature panels, lower clamp) as constants at its call site;
 // docs/MODEL.md lists them.
 //
-// The stage payoffs and the two functions that take a game's callback
-// (solve_t2_region, t1_value) are defined here, not in the .cpp: they run
-// inside every root scan and quadrature node, and inlining keeps the core
-// as fast as the per-game copies it replaced.
+// Eqs. (20)/(21) run at every root-scan point and every quadrature node,
+// hundreds of thousands of times per feasible-band scan.  A T2Kernel is
+// built once per (params, P*, cutoff, deposits): it hoists every factor
+// that does not depend on P_t2 (the tau_b drift and volatility, ln cutoff,
+// the growth and discount exponentials, the deposit terms), so a point
+// costs one log plus the erfc calls it needs, and a t1 quadrature node
+// shares that log with the tau_a density.  Its values are bit-identical to
+// evaluating the same formulas through a fresh math::GbmLaw per point
+// (tests/test_backward_induction.cpp keeps that reference).
+//
+// The kernel's point evaluations, the stage payoffs and the two functions
+// that take a game's callback (solve_t2_region, t1_value) are defined here,
+// not in the .cpp: they run inside every root scan and quadrature node.
 #pragma once
 
 #include <algorithm>
@@ -39,9 +51,9 @@
 
 namespace swapgame::model {
 
-/// Stage payoffs of the basic game, Eqs. (14)-(23).  Each takes Alice's t3
-/// cutoff as an argument, so the deposit mechanisms and arbitrary threshold
-/// profiles (strategy_value.hpp) share one implementation.
+/// Stage payoffs of the basic game that need no price law: the t3 stage,
+/// Eqs. (14)-(19), and the t2 stop values, Eqs. (22)/(23).  The t2
+/// continuation values, Eqs. (20)/(21), are T2Kernel's.
 namespace stage {
 
 /// Eq. (14): Alice reveals and receives the token-b at t5 = t3 + tau_b.
@@ -95,23 +107,6 @@ namespace stage {
                               (1.0 + params.alice.alpha);
 }
 
-/// Eq. (20): Alice's t2 value when Bob locks and she reveals above
-/// `cutoff`; `reveal_bonus` is a deposit (t3-anchored) she recovers only by
-/// revealing.  alice_t3_cont is linear in the price, so its integral over
-/// {P_t3 > cutoff} is the upper partial expectation.
-[[nodiscard]] inline double alice_t2_cont(const SwapParams& params,
-                                          double p_star, double cutoff,
-                                          double p_t2,
-                                          double reveal_bonus = 0.0) {
-  const math::GbmLaw law(params.gbm, p_t2, params.tau_b);
-  double cont_part = (1.0 + params.alice.alpha) *
-                     std::exp((params.gbm.mu - params.alice.r) * params.tau_b) *
-                     law.partial_expectation_above(cutoff);
-  if (reveal_bonus != 0.0) cont_part += law.survival(cutoff) * reveal_bonus;
-  const double stop_part = law.cdf(cutoff) * alice_t3_stop(params, p_star);
-  return (cont_part + stop_part) * std::exp(-params.alice.r * params.tau_b);
-}
-
 /// Eq. (22): Bob walks at t2; Alice's token-a is refunded at t8 = t2 +
 /// tau_b + eps_b + 2 tau_a.
 [[nodiscard]] inline double alice_t2_stop(const SwapParams& params,
@@ -120,36 +115,84 @@ namespace stage {
                            (params.tau_b + params.eps_b + 2.0 * params.tau_a));
 }
 
-/// Deposit terms of Bob's t2 continuation value (zero in the basic game).
-struct BobT2Deposits {
-  double on_lock = 0.0;   ///< received whatever Alice does (t2-anchored)
-  double on_waive = 0.0;  ///< received only if Alice waives (t3-anchored)
-};
-
-/// Eq. (21): Bob's t2 value when he locks and Alice reveals above `cutoff`:
-/// bob_t3_cont with probability 1 - C(cutoff), otherwise his refunded
-/// token-b (the lower partial expectation).  Zero deposits cost no extra
-/// libm call: this runs inside every root scan.
-[[nodiscard]] inline double bob_t2_cont(const SwapParams& params,
-                                        double p_star, double cutoff,
-                                        double p_t2,
-                                        BobT2Deposits deposits = {}) {
-  const math::GbmLaw law(params.gbm, p_t2, params.tau_b);
-  const double cont_part = law.survival(cutoff) * bob_t3_cont(params, p_star);
-  double stop_part =
-      std::exp((params.gbm.mu - params.bob.r) * 2.0 * params.tau_b) *
-      law.partial_expectation_below(cutoff);
-  if (deposits.on_waive != 0.0) {
-    stop_part += law.cdf(cutoff) * deposits.on_waive;
-  }
-  return (deposits.on_lock + cont_part + stop_part) *
-         std::exp(-params.bob.r * params.tau_b);
-}
-
 /// Eq. (23): Bob keeps his token-b, worth P_t2.
 [[nodiscard]] inline double bob_t2_stop(double p_t2) { return p_t2; }
 
 }  // namespace stage
+
+/// Deposit terms of the t2 continuation values (all zero in the basic
+/// game).  A zero term costs no extra erfc.
+struct T2Deposits {
+  double on_lock = 0.0;       ///< Bob receives whatever Alice does (t2-anchored)
+  double on_waive = 0.0;      ///< Bob receives only if Alice waives (t3-anchored)
+  double reveal_bonus = 0.0;  ///< Alice recovers only by revealing (t3-anchored)
+};
+
+/// The t2 stage of one game: Eqs. (20)/(21) for a fixed (params, P*,
+/// Alice's t3 cutoff, deposits), evaluated at any P_t2.  Construction
+/// hoists every P_t2-invariant factor; a point evaluation costs the one
+/// log of at() plus two erfc (three with a nonzero reveal_bonus or
+/// on_waive).
+class T2Kernel {
+ public:
+  using Point = math::CutoffLaw::Point;
+
+  /// An empty kernel, to be assigned before use.
+  T2Kernel() = default;
+  /// Throws std::invalid_argument on invalid gbm params or tau_b.
+  T2Kernel(const SwapParams& params, double p_star, double cutoff,
+           T2Deposits deposits = {});
+
+  /// Alice's t3 cutoff the kernel was built for.
+  [[nodiscard]] double cutoff() const noexcept { return law_.cutoff(); }
+  /// The tau_b law at the cutoff.
+  [[nodiscard]] const math::CutoffLaw& law() const noexcept { return law_; }
+
+  /// P_t2 as a point of the tau_b law; throws std::invalid_argument unless
+  /// p_t2 > 0 and finite.
+  [[nodiscard]] Point at(double p_t2) const { return law_.at(p_t2); }
+
+  /// Eq. (20): Alice's t2 value when Bob locks and she reveals above the
+  /// cutoff.  alice_t3_cont is linear in the price, so its integral over
+  /// {P_t3 > cutoff} is the upper partial expectation; a reveal_bonus is
+  /// recovered only on the reveal branch.
+  [[nodiscard]] double alice_cont(const Point& at) const noexcept {
+    double cont_part = alice_growth_ * law_.partial_expectation_above(at);
+    if (deposits_.reveal_bonus != 0.0) {
+      cont_part += law_.survival(at) * deposits_.reveal_bonus;
+    }
+    const double stop_part = law_.cdf(at) * alice_refund_;
+    return (cont_part + stop_part) * alice_discount_;
+  }
+  [[nodiscard]] double alice_cont(double p_t2) const {
+    return alice_cont(at(p_t2));
+  }
+
+  /// Eq. (21): Bob's t2 value when he locks and Alice reveals above the
+  /// cutoff: bob_t3_cont with probability 1 - C(cutoff), otherwise his
+  /// refunded token-b (the lower partial expectation), plus the deposits.
+  [[nodiscard]] double bob_cont(const Point& at) const noexcept {
+    const double cont_part = law_.survival(at) * bob_claim_;
+    double stop_part = bob_growth_ * law_.partial_expectation_below(at);
+    if (deposits_.on_waive != 0.0) {
+      stop_part += law_.cdf(at) * deposits_.on_waive;
+    }
+    return (deposits_.on_lock + cont_part + stop_part) * bob_discount_;
+  }
+  [[nodiscard]] double bob_cont(double p_t2) const {
+    return bob_cont(at(p_t2));
+  }
+
+ private:
+  math::CutoffLaw law_;
+  T2Deposits deposits_;
+  double alice_growth_ = 0.0;    // (1 + alpha^A) e^{(mu - r^A) tau_b}
+  double alice_refund_ = 0.0;    // Eq. (16), alice_t3_stop
+  double alice_discount_ = 0.0;  // e^{-r^A tau_b}
+  double bob_claim_ = 0.0;       // Eq. (15), bob_t3_cont
+  double bob_growth_ = 0.0;      // e^{(mu - r^B) 2 tau_b}
+  double bob_discount_ = 0.0;    // e^{-r^B tau_b}
+};
 
 /// Bob's t2 continuation region and the indifference roots defining it.
 struct T2Region {
@@ -217,12 +260,15 @@ struct OutsideValue {
 
 /// The t1 composition (Eqs. (25)/(26), (36)/(37)): the integral of
 /// `t2_cont` against the tau_a price law over `region`, plus `outside` over
-/// the complement, discounted tau_a at `rate`.
+/// the complement, discounted tau_a at `rate`.  `t2_cont` takes the node as
+/// a point of `t2_law` (a T2Kernel's law), whose log the tau_a density
+/// shares.
 template <class F>
 [[nodiscard]] double t1_value(const SwapParams& params,
                               const math::IntervalSet& region,
-                              const F& t2_cont, OutsideValue outside,
-                              double rate, RegionQuadrature quad) {
+                              const math::CutoffLaw& t2_law, const F& t2_cont,
+                              OutsideValue outside, double rate,
+                              RegionQuadrature quad) {
   const math::GbmLaw law(params.gbm, params.p_t0, params.tau_a);
   double inside = 0.0;
   double inside_mass = 0.0;  // probability, or partial expectation for token-b
@@ -230,8 +276,11 @@ template <class F>
     const double lo = std::max(iv.lo, quad.lo_clamp);
     if (!(iv.hi > lo)) continue;
     inside += math::gauss_legendre(
-        [&law, &t2_cont](double x) { return law.pdf(x) * t2_cont(x); }, lo,
-        iv.hi, quad.panels);
+        [&law, &t2_law, &t2_cont](double x) {
+          const math::CutoffLaw::Point at = t2_law.at(x);
+          return law.pdf(x, at.log_price) * t2_cont(at);
+        },
+        lo, iv.hi, quad.panels);
     inside_mass += outside.is_token_b
                        ? law.partial_expectation_below(iv.hi) -
                              law.partial_expectation_below(lo)

@@ -36,7 +36,8 @@ BasicGame::BasicGame(const SwapParams& params, double p_star,
   if (!(p_star > 0.0) || !std::isfinite(p_star)) {
     throw std::invalid_argument("BasicGame: p_star must be positive and finite");
   }
-  t3_cutoff_ = stage::alice_t3_cutoff(params_, p_star_);
+  kernel_ =
+      T2Kernel(params_, p_star_, stage::alice_t3_cutoff(params_, p_star_));
   // Roots of g(p) = bob_t2_cont(p) - p.  In the paper's mu < r regime g < 0
   // both as p -> 0 (token-b worthless, but Alice will not reveal either)
   // and as p -> inf (Bob keeps the valuable token-b), so the cont region
@@ -44,8 +45,8 @@ BasicGame::BasicGame(const SwapParams& params, double p_star,
   // branch outgrows his discounting and g > 0 near 0: the region extends
   // down to zero with a single indifference point.
   t2_ = solve_t2_region(
-      [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
-      std::max({p_star_, params_.p_t0, t3_cutoff_}), kBandScanSamples,
+      [this](double p) { return kernel_.bob_cont(p) - bob_t2_stop(p); },
+      std::max({p_star_, params_.p_t0, kernel_.cutoff()}), kBandScanSamples,
       t2_root_hints, kWarmVerifySamples);
 }
 
@@ -69,13 +70,13 @@ double BasicGame::bob_t3_stop(double p_t3) const {
 
 Action BasicGame::alice_decision_t3(double p_t3) const {
   // Eq. (19): cont iff P_t3 > cutoff.
-  return p_t3 > t3_cutoff_ ? Action::kCont : Action::kStop;
+  return p_t3 > kernel_.cutoff() ? Action::kCont : Action::kStop;
 }
 
 // ---------------------------------------------------------------- t2 stage
 
 double BasicGame::alice_t2_cont(double p_t2) const {
-  return stage::alice_t2_cont(params_, p_star_, t3_cutoff_, p_t2);
+  return kernel_.alice_cont(p_t2);
 }
 
 double BasicGame::alice_t2_stop() const {
@@ -83,7 +84,7 @@ double BasicGame::alice_t2_stop() const {
 }
 
 double BasicGame::bob_t2_cont(double p_t2) const {
-  return stage::bob_t2_cont(params_, p_star_, t3_cutoff_, p_t2);
+  return kernel_.bob_cont(p_t2);
 }
 
 double BasicGame::bob_t2_stop(double p_t2) const {
@@ -105,10 +106,10 @@ Action BasicGame::bob_decision_t2(double p_t2) const {
 double BasicGame::alice_t1_cont() const {
   // Eq. (25): Alice's t2 value inside Bob's region, her refund outside.
   return alice_t1_cont_cache_.get([this] {
-    return t1_value(params_, t2_.region,
-                    [this](double x) { return alice_t2_cont(x); },
-                    OutsideValue::payoff(alice_t2_stop()), params_.alice.r,
-                    kQuadrature);
+    return t1_value(
+        params_, t2_.region, kernel_.law(),
+        [this](const T2Kernel::Point& at) { return kernel_.alice_cont(at); },
+        OutsideValue::payoff(alice_t2_stop()), params_.alice.r, kQuadrature);
   });
 }
 
@@ -121,9 +122,10 @@ double BasicGame::bob_t1_cont() const {
   // Eq. (26): inside the region Bob's t2 value is bob_t2_cont; outside he
   // keeps token-b worth the realized price.
   return bob_t1_cont_cache_.get([this] {
-    return t1_value(params_, t2_.region,
-                    [this](double x) { return bob_t2_cont(x); },
-                    OutsideValue::token_b(), params_.bob.r, kQuadrature);
+    return t1_value(
+        params_, t2_.region, kernel_.law(),
+        [this](const T2Kernel::Point& at) { return kernel_.bob_cont(at); },
+        OutsideValue::token_b(), params_.bob.r, kQuadrature);
   });
 }
 
@@ -142,7 +144,8 @@ Action BasicGame::alice_decision_t1() const {
 double BasicGame::success_rate() const {
   // Eq. (31): P[P_t2 in region] weighted by P[Alice reveals at t3 | P_t2].
   return success_rate_cache_.get([this] {
-    return region_success_rate(params_, t2_.region, t3_cutoff_, kQuadrature);
+    return region_success_rate(params_, t2_.region, kernel_.cutoff(),
+                               kQuadrature);
   });
 }
 

@@ -8,8 +8,8 @@
 // -- and the post-initiation success rate SR(P*) (Eq. 31).
 //
 // Partial expectations of the lognormal transition law give closed forms
-// for the t2 utilities; the t1 utilities and SR integrate t2 quantities
-// over the price law by adaptive quadrature.
+// for the t2 utilities (T2Kernel); the t1 utilities and SR integrate t2
+// quantities over the price law by Gauss-Legendre quadrature.
 #pragma once
 
 #include <optional>
@@ -53,7 +53,9 @@ class BasicGame {
   [[nodiscard]] double bob_t3_cont() const;               ///< Eq. (15)
   [[nodiscard]] double bob_t3_stop(double p_t3) const;    ///< Eq. (17)
   /// The cutoff price P_t3_lo of Eq. (18): Alice continues iff P_t3 exceeds it.
-  [[nodiscard]] double alice_t3_cutoff() const noexcept { return t3_cutoff_; }
+  [[nodiscard]] double alice_t3_cutoff() const noexcept {
+    return kernel_.cutoff();
+  }
   [[nodiscard]] Action alice_decision_t3(double p_t3) const;  ///< Eq. (19)
 
   // --- t2: Bob's lock decision (Eqs. (20)-(24)). --------------------------
@@ -103,7 +105,7 @@ class BasicGame {
  private:
   SwapParams params_;
   double p_star_;
-  double t3_cutoff_ = 0.0;
+  T2Kernel kernel_;  // Eqs. (20)/(21) at this game's cutoff
   T2Region t2_;
   // Quadrature-backed t1 quantities, integrated once per game instance even
   // when the game is shared across Monte-Carlo samples or sweep threads.

@@ -38,14 +38,24 @@ CollateralGame::CollateralGame(const SwapParams& params, double p_star,
     throw std::invalid_argument(
         "CollateralGame: collateral must be >= 0 and finite");
   }
-  t3_cutoff_ = stage::alice_t3_cutoff(params_, p_star_, alice_recovery());
+  // Eq. (35): Bob's own collateral comes back at t3 + tau_a regardless
+  // (he has fulfilled his obligations by locking); if Alice waives he
+  // additionally receives her forfeited collateral at t4 + tau_a.  Eq. (36):
+  // Alice recovers her collateral only on the reveal branch.
+  const double rB = params_.bob.r;
+  kernel_ = T2Kernel(
+      params_, p_star_,
+      stage::alice_t3_cutoff(params_, p_star_, alice_recovery()),
+      {.on_lock = q_ * std::exp(-rB * params_.tau_a),
+       .on_waive = q_ * std::exp(-rB * (params_.eps_b + params_.tau_a)),
+       .reveal_bonus = alice_recovery()});
   // Roots of bob_t2_cont(p) - p.  With Q > 0 the gap is positive as p -> 0
   // (recovering 2 discounted Q beats keeping a worthless token) and
   // negative as p -> inf, so there is an odd number of crossings (Fig. 7).
   t2_ = solve_t2_region(
-      [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
-      std::max({p_star_, params_.p_t0, t3_cutoff_, q_}), kRegionScanSamples,
-      t2_root_hints, kWarmVerifySamples);
+      [this](double p) { return kernel_.bob_cont(p) - bob_t2_stop(p); },
+      std::max({p_star_, params_.p_t0, kernel_.cutoff(), q_}),
+      kRegionScanSamples, t2_root_hints, kWarmVerifySamples);
 }
 
 double CollateralGame::alice_recovery() const {
@@ -65,7 +75,7 @@ double CollateralGame::alice_t3_stop() const {
 }
 
 Action CollateralGame::alice_decision_t3(double p_t3) const {
-  return p_t3 > t3_cutoff_ ? Action::kCont : Action::kStop;
+  return p_t3 > kernel_.cutoff() ? Action::kCont : Action::kStop;
 }
 
 // ---------------------------------------------------------------- t2 stage
@@ -74,19 +84,12 @@ double CollateralGame::alice_t2_cont(double p_t2) const {
   // Eq. (36)'s integrand value: Alice's expected t3 value when Bob locked.
   // On the reveal branch she also recovers her collateral; on the waive
   // branch she forfeits it.
-  return stage::alice_t2_cont(params_, p_star_, t3_cutoff_, p_t2,
-                              alice_recovery());
+  return kernel_.alice_cont(p_t2);
 }
 
 double CollateralGame::bob_t2_cont(double p_t2) const {
-  // Eq. (35): Bob's own collateral comes back at t3 + tau_a regardless
-  // (he has fulfilled his obligations by locking); if Alice waives he
-  // additionally receives her forfeited collateral at t4 + tau_a.
-  const double rB = params_.bob.r;
-  return stage::bob_t2_cont(
-      params_, p_star_, t3_cutoff_, p_t2,
-      {.on_lock = q_ * std::exp(-rB * params_.tau_a),
-       .on_waive = q_ * std::exp(-rB * (params_.eps_b + params_.tau_a))});
+  // Eq. (35), with the collateral terms the kernel was built with.
+  return kernel_.bob_cont(p_t2);
 }
 
 double CollateralGame::bob_t2_stop(double p_t2) const {
@@ -109,10 +112,10 @@ double CollateralGame::alice_t1_cont() const {
     const double stop_value =
         stage::alice_t2_stop(params_, p_star_) +
         2.0 * q_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
-    return t1_value(params_, t2_.region,
-                    [this](double x) { return alice_t2_cont(x); },
-                    OutsideValue::payoff(stop_value), params_.alice.r,
-                    kQuadrature);
+    return t1_value(
+        params_, t2_.region, kernel_.law(),
+        [this](const T2Kernel::Point& at) { return kernel_.alice_cont(at); },
+        OutsideValue::payoff(stop_value), params_.alice.r, kQuadrature);
   });
 }
 
@@ -126,9 +129,10 @@ double CollateralGame::bob_t1_cont() const {
   // region Bob's value is bob_t2_cont; outside he keeps token-b worth the
   // realized price and forfeits his collateral.
   return bob_t1_cont_cache_.get([this] {
-    return t1_value(params_, t2_.region,
-                    [this](double x) { return bob_t2_cont(x); },
-                    OutsideValue::token_b(), params_.bob.r, kQuadrature);
+    return t1_value(
+        params_, t2_.region, kernel_.law(),
+        [this](const T2Kernel::Point& at) { return kernel_.bob_cont(at); },
+        OutsideValue::token_b(), params_.bob.r, kQuadrature);
   });
 }
 
@@ -155,7 +159,8 @@ bool CollateralGame::engaged() const {
 double CollateralGame::success_rate() const {
   // Eq. (40): integrate Alice's reveal probability over Bob's t2 region.
   return success_rate_cache_.get([this] {
-    return region_success_rate(params_, t2_.region, t3_cutoff_, kQuadrature);
+    return region_success_rate(params_, t2_.region, kernel_.cutoff(),
+                               kQuadrature);
   });
 }
 

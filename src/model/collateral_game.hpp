@@ -55,7 +55,9 @@ class CollateralGame {
   /// Stop forfeits the collateral: same as the basic game's Eq. (16).
   [[nodiscard]] double alice_t3_stop() const;
   /// The clamped cutoff P_t3_lo_c of Eq. (34); 0 means "always reveal".
-  [[nodiscard]] double alice_t3_cutoff() const noexcept { return t3_cutoff_; }
+  [[nodiscard]] double alice_t3_cutoff() const noexcept {
+    return kernel_.cutoff();
+  }
   [[nodiscard]] Action alice_decision_t3(double p_t3) const;
 
   // --- t2: Bob's lock decision (Eqs. (35), (23)). --------------------------
@@ -100,7 +102,7 @@ class CollateralGame {
   SwapParams params_;
   double p_star_;
   double q_;
-  double t3_cutoff_ = 0.0;
+  T2Kernel kernel_;  // Eqs. (35)/(36)'s t2 values at this game's cutoff
   T2Region t2_;
   // Quadrature-backed t1 quantities, integrated once per game instance even
   // when the game is shared across Monte-Carlo samples or sweep threads.

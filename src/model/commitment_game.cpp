@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "math/gbm.hpp"
-
 namespace swapgame::model {
 
 CommitmentGame::CommitmentGame(const SwapParams& params, double p_star)
@@ -16,6 +14,8 @@ CommitmentGame::CommitmentGame(const SwapParams& params, double p_star)
   // Bob's indifference: (1 + alpha^B) P* e^{-r^B (tau_b + tau_a)} = p.
   bob_hi_ = (1.0 + params_.bob.alpha) * p_star_ *
             std::exp(-params_.bob.r * (params_.tau_b + params_.tau_a));
+  threshold_law_ = math::CutoffLaw(params_.gbm, params_.tau_a, bob_hi_);
+  from_t0_ = threshold_law_.at(params_.p_t0);
 }
 
 double CommitmentGame::bob_t2_cont() const {
@@ -36,14 +36,14 @@ double CommitmentGame::alice_t1_cont() const {
   // t3 + tau_b = t1 + tau_a + 2 tau_b, whose conditional expected value is
   // the lower partial expectation grown over the remaining 2 tau_b.
   // Abort branch: refund at t_a + tau_a = t1 + 3 tau_a + tau_b.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
   const double mu = params_.gbm.mu;
   const double rA = params_.alice.r;
   const double complete =
-      (1.0 + params_.alice.alpha) * law.partial_expectation_below(bob_hi_) *
+      (1.0 + params_.alice.alpha) *
+      threshold_law_.partial_expectation_below(from_t0_) *
       std::exp(2.0 * mu * params_.tau_b -
                rA * (params_.tau_a + 2.0 * params_.tau_b));
-  const double abort = law.survival(bob_hi_) * p_star_ *
+  const double abort = threshold_law_.survival(from_t0_) * p_star_ *
                        std::exp(-rA * (3.0 * params_.tau_a + params_.tau_b));
   return complete + abort;
 }
@@ -57,17 +57,15 @@ Action CommitmentGame::alice_decision_t1() const {
 double CommitmentGame::bob_t1_cont() const {
   // From t1, Bob's t2 value is bob_t2_cont below the threshold and the
   // realized token-b price above it.
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  return (law.cdf(bob_hi_) * bob_t2_cont() +
-          law.partial_expectation_above(bob_hi_)) *
+  return (threshold_law_.cdf(from_t0_) * bob_t2_cont() +
+          threshold_law_.partial_expectation_above(from_t0_)) *
          std::exp(-params_.bob.r * params_.tau_a);
 }
 
 double CommitmentGame::bob_t1_stop() const { return params_.p_t0; }
 
 double CommitmentGame::success_rate() const {
-  const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  return law.cdf(bob_hi_);
+  return threshold_law_.cdf(from_t0_);
 }
 
 FeasibleBand commitment_feasible_band(const SwapParams& params, double scan_lo,

@@ -64,6 +64,10 @@ class CommitmentGame {
   SwapParams params_;
   double p_star_;
   double bob_hi_ = 0.0;
+  // The tau_a law from P_t0 read at Bob's threshold: every t1 quantity is
+  // one of its four values.
+  math::CutoffLaw threshold_law_;
+  math::CutoffLaw::Point from_t0_{};
 };
 
 /// Alice's feasible rate band under the commitment protocol.

@@ -49,6 +49,17 @@ ExtendedGame::ExtendedGame(const ExtendedParams& params, double p_star)
     throw std::invalid_argument("ExtendedGame: p_star must be positive");
   }
   compute_t3_cutoff();
+  const SwapParams& b = params_.base;
+  t2_law_ = math::CutoffLaw(b.gbm, b.tau_b, t3_cutoff_);
+  // Reveal branch: P* token-a at t6 = t2 + tau_b + eps_b + tau_a, minus the
+  // Chain_a claim fee paid at t4 = t2 + tau_b + eps_b.
+  bob_reveal_value_ =
+      (1.0 + b.bob.alpha) * p_star_ *
+          std::exp(-params_.bob.r_a * (b.tau_b + b.eps_b + b.tau_a)) -
+      params_.fee_a * std::exp(-params_.bob.r_a * (b.tau_b + b.eps_b));
+  // Waive branch: the token-b comes back at t7 = t2 + 3 tau_b.
+  bob_waive_growth_ =
+      std::exp(2.0 * b.gbm.mu * b.tau_b - 3.0 * params_.bob.r_b * b.tau_b);
   t2_region_ =
       solve_t2_region(
           [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
@@ -87,21 +98,12 @@ Action ExtendedGame::alice_decision_t3(double p_t3) const {
 // ---------------------------------------------------------------- t2 stage
 
 double ExtendedGame::bob_t2_cont(double p_t2) const {
-  const SwapParams& b = params_.base;
-  const math::GbmLaw law(b.gbm, p_t2, b.tau_b);
-  const double L = t3_cutoff_;
-  // Reveal branch: P* token-a at t6 = t2 + tau_b + eps_b + tau_a, minus the
-  // Chain_a claim fee paid at t4 = t2 + tau_b + eps_b.
-  const double reveal_value =
-      (1.0 + b.bob.alpha) * p_star_ *
-          std::exp(-params_.bob.r_a * (b.tau_b + b.eps_b + b.tau_a)) -
-      params_.fee_a * std::exp(-params_.bob.r_a * (b.tau_b + b.eps_b));
-  // Waive branch: the token-b comes back at t7 = t2 + 3 tau_b.
+  const math::CutoffLaw::Point at = t2_law_.at(p_t2);
   const double waive_value =
-      law.partial_expectation_below(L) *
-      std::exp(2.0 * b.gbm.mu * b.tau_b - 3.0 * params_.bob.r_b * b.tau_b);
+      t2_law_.partial_expectation_below(at) * bob_waive_growth_;
   // The Chain_b deploy fee is paid now.
-  return law.survival(L) * reveal_value + waive_value - params_.fee_b;
+  return t2_law_.survival(at) * bob_reveal_value_ + waive_value -
+         params_.fee_b;
 }
 
 double ExtendedGame::bob_t2_stop(double p_t2) const { return p_t2; }
@@ -122,7 +124,6 @@ double ExtendedGame::alice_t1_cont() const {
   // composition; see header).
   const SwapParams& b = params_.base;
   const math::GbmLaw law_a(b.gbm, b.p_t0, b.tau_a);
-  const double L = t3_cutoff_;
   const double refund_time = 3.0 * b.tau_a + b.tau_b + b.eps_b;  // t8 - t1
 
   double reveal_pe = 0.0;  // int pdf_a(x) PE_above_x(L) dx over the region
@@ -131,8 +132,9 @@ double ExtendedGame::alice_t1_cont() const {
     if (!(iv.hi > lo)) continue;
     reveal_pe += math::gauss_legendre(
         [&](double x) {
-          const math::GbmLaw law_b(b.gbm, x, b.tau_b);
-          return law_a.pdf(x) * law_b.partial_expectation_above(L);
+          const math::CutoffLaw::Point at = t2_law_.at(x);
+          return law_a.pdf(x, at.log_price) *
+                 t2_law_.partial_expectation_above(at);
         },
         lo, iv.hi, kQuadrature.panels);
   }

@@ -94,6 +94,11 @@ class ExtendedGame {
   ExtendedParams params_;
   double p_star_;
   double t3_cutoff_ = 0.0;
+  // bob_t2_cont's P_t2-invariant parts: the tau_b law at the t3 cutoff and
+  // the reveal and waive branch values.
+  math::CutoffLaw t2_law_;
+  double bob_reveal_value_ = 0.0;
+  double bob_waive_growth_ = 0.0;
   math::IntervalSet t2_region_;
 };
 

@@ -25,11 +25,18 @@ PremiumGame::PremiumGame(const SwapParams& params, double p_star,
   if (!(premium >= 0.0) || !std::isfinite(premium)) {
     throw std::invalid_argument("PremiumGame: premium must be >= 0 and finite");
   }
-  t3_cutoff_ = stage::alice_t3_cutoff(params_, p_star_, alice_recovery());
+  // If Alice waives, the escrow pays Bob eps_b + 2 tau_a after t3; if she
+  // reveals, she claims it back.
+  kernel_ = T2Kernel(
+      params_, p_star_,
+      stage::alice_t3_cutoff(params_, p_star_, alice_recovery()),
+      {.on_waive = pr_ * std::exp(-params_.bob.r *
+                                  (params_.eps_b + 2.0 * params_.tau_a)),
+       .reveal_bonus = alice_recovery()});
   t2_region_ =
       solve_t2_region(
-          [this](double p) { return bob_t2_cont(p) - bob_t2_stop(p); },
-          std::max({p_star_, params_.p_t0, t3_cutoff_, pr_}),
+          [this](double p) { return kernel_.bob_cont(p) - bob_t2_stop(p); },
+          std::max({p_star_, params_.p_t0, kernel_.cutoff(), pr_}),
           kRegionScanSamples)
           .region;
 }
@@ -62,22 +69,17 @@ double PremiumGame::bob_t3_stop(double p_t3) const {
 }
 
 Action PremiumGame::alice_decision_t3(double p_t3) const {
-  return p_t3 > t3_cutoff_ ? Action::kCont : Action::kStop;
+  return p_t3 > kernel_.cutoff() ? Action::kCont : Action::kStop;
 }
 
 // ---------------------------------------------------------------- t2 stage
 
 double PremiumGame::alice_t2_cont(double p_t2) const {
-  return stage::alice_t2_cont(params_, p_star_, t3_cutoff_, p_t2,
-                              alice_recovery());
+  return kernel_.alice_cont(p_t2);
 }
 
 double PremiumGame::bob_t2_cont(double p_t2) const {
-  // If Alice waives, the escrow pays Bob eps_b + 2 tau_a after t3.
-  return stage::bob_t2_cont(
-      params_, p_star_, t3_cutoff_, p_t2,
-      {.on_waive = pr_ * std::exp(-params_.bob.r *
-                                  (params_.eps_b + 2.0 * params_.tau_a))});
+  return kernel_.bob_cont(p_t2);
 }
 
 double PremiumGame::bob_t2_stop(double p_t2) const {
@@ -99,10 +101,10 @@ double PremiumGame::alice_t1_cont() const {
     const double stop_value =
         stage::alice_t2_stop(params_, p_star_) +
         pr_ * std::exp(-params_.alice.r * (params_.tau_b + params_.tau_a));
-    return t1_value(params_, t2_region_,
-                    [this](double x) { return alice_t2_cont(x); },
-                    OutsideValue::payoff(stop_value), params_.alice.r,
-                    kQuadrature);
+    return t1_value(
+        params_, t2_region_, kernel_.law(),
+        [this](const T2Kernel::Point& at) { return kernel_.alice_cont(at); },
+        OutsideValue::payoff(stop_value), params_.alice.r, kQuadrature);
   });
 }
 
@@ -110,9 +112,10 @@ double PremiumGame::alice_t1_stop() const { return p_star_ + pr_; }
 
 double PremiumGame::bob_t1_cont() const {
   return bob_t1_cont_cache_.get([this] {
-    return t1_value(params_, t2_region_,
-                    [this](double x) { return bob_t2_cont(x); },
-                    OutsideValue::token_b(), params_.bob.r, kQuadrature);
+    return t1_value(
+        params_, t2_region_, kernel_.law(),
+        [this](const T2Kernel::Point& at) { return kernel_.bob_cont(at); },
+        OutsideValue::token_b(), params_.bob.r, kQuadrature);
   });
 }
 
@@ -126,7 +129,8 @@ Action PremiumGame::alice_decision_t1() const {
 
 double PremiumGame::success_rate() const {
   return success_rate_cache_.get([this] {
-    return region_success_rate(params_, t2_region_, t3_cutoff_, kQuadrature);
+    return region_success_rate(params_, t2_region_, kernel_.cutoff(),
+                               kQuadrature);
   });
 }
 

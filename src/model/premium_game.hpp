@@ -47,7 +47,9 @@ class PremiumGame {
   [[nodiscard]] double alice_t3_stop() const;
   [[nodiscard]] double bob_t3_cont() const;           ///< Eq. (15), unchanged
   [[nodiscard]] double bob_t3_stop(double p_t3) const;  ///< Eq. (17) + premium
-  [[nodiscard]] double alice_t3_cutoff() const noexcept { return t3_cutoff_; }
+  [[nodiscard]] double alice_t3_cutoff() const noexcept {
+    return kernel_.cutoff();
+  }
   [[nodiscard]] Action alice_decision_t3(double p_t3) const;
 
   // --- t2: Bob's lock decision. ---------------------------------------------
@@ -76,7 +78,7 @@ class PremiumGame {
   SwapParams params_;
   double p_star_;
   double pr_;
-  double t3_cutoff_ = 0.0;
+  T2Kernel kernel_;  // the t2 values, with the escrow terms, at the cutoff
   math::IntervalSet t2_region_;
   // Quadrature-backed t1 quantities, integrated once per game instance even
   // when the game is shared across Monte-Carlo samples or sweep threads.

@@ -63,6 +63,10 @@ UncertainPremiumGame::UncertainPremiumGame(const SwapParams& params,
   if (!(p_star > 0.0) || !std::isfinite(p_star)) {
     throw std::invalid_argument("UncertainPremiumGame: p_star must be > 0");
   }
+  for (const double alpha : belief_a_.alphas) {
+    reveal_laws_.emplace_back(params_.gbm, params_.tau_b,
+                              cutoff_for_alpha(alpha));
+  }
   compute_band();
 }
 
@@ -81,15 +85,15 @@ double UncertainPremiumGame::bob_t2_cont_bayes(const SwapParams& params,
   // Eq. (21) with the indicator split averaged over the alpha^A prior: each
   // candidate Alice has her own cutoff, so the reveal probability and the
   // refund partial expectation are prior mixtures.
-  const math::GbmLaw law(params.gbm, p_t2, params.tau_b);
+  const math::CutoffLaw::Point at = reveal_laws_.front().at(p_t2);
   const double bob_t3_cont = stage::bob_t3_cont(params, p_star_);
   const double refund_growth =
       std::exp((params.gbm.mu - params.bob.r) * 2.0 * params.tau_b);
   double value = 0.0;
-  for (std::size_t i = 0; i < belief_a_.alphas.size(); ++i) {
-    const double L = cutoff_for_alpha(belief_a_.alphas[i]);
-    const double branch = law.survival(L) * bob_t3_cont +
-                          refund_growth * law.partial_expectation_below(L);
+  for (std::size_t i = 0; i < reveal_laws_.size(); ++i) {
+    const math::CutoffLaw& law = reveal_laws_[i];
+    const double branch = law.survival(at) * bob_t3_cont +
+                          refund_growth * law.partial_expectation_below(at);
     value += belief_a_.weights[i] * branch;
   }
   return value * std::exp(-params.bob.r * params.tau_b);
@@ -120,7 +124,8 @@ double UncertainPremiumGame::alice_t1_cont_bayes() const {
   // band her value is the complete-information alice_t2_cont (her own t3
   // behaviour does not depend on beliefs); outside she is refunded.
   const math::GbmLaw law(params_.gbm, params_.p_t0, params_.tau_a);
-  const double cutoff = stage::alice_t3_cutoff(params_, p_star_);
+  const T2Kernel kernel(params_, p_star_,
+                        stage::alice_t3_cutoff(params_, p_star_));
   const double refund = stage::alice_t2_stop(params_, p_star_);
   double value = 0.0;
   for (std::size_t i = 0; i < belief_b_.alphas.size(); ++i) {
@@ -131,8 +136,8 @@ double UncertainPremiumGame::alice_t1_cont_bayes() const {
     } else {
       const double inside = math::gauss_legendre(
           [&](double x) {
-            return law.pdf(x) *
-                   stage::alice_t2_cont(params_, p_star_, cutoff, x);
+            const T2Kernel::Point at = kernel.at(x);
+            return law.pdf(x, at.log_price) * kernel.alice_cont(at);
           },
           band->lo, band->hi, kQuadrature.panels);
       const double outside_prob = law.cdf(band->lo) + law.survival(band->hi);
@@ -160,13 +165,12 @@ double UncertainPremiumGame::believed_success_rate() const {
   const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
   return math::gauss_legendre(
       [&](double x) {
-        const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
+        const math::CutoffLaw::Point at = reveal_laws_.front().at(x);
         double reveal = 0.0;
-        for (std::size_t i = 0; i < belief_a_.alphas.size(); ++i) {
-          reveal += belief_a_.weights[i] *
-                    law_b.survival(cutoff_for_alpha(belief_a_.alphas[i]));
+        for (std::size_t i = 0; i < reveal_laws_.size(); ++i) {
+          reveal += belief_a_.weights[i] * reveal_laws_[i].survival(at);
         }
-        return law_a.pdf(x) * reveal;
+        return law_a.pdf(x, at.log_price) * reveal;
       },
       band_->lo, band_->hi, kQuadrature.panels);
 }

@@ -21,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "math/gbm.hpp"
 #include "math/interval.hpp"
 #include "params.hpp"
 
@@ -93,6 +94,9 @@ class UncertainPremiumGame {
   AlphaPrior belief_a_;
   AlphaPrior belief_b_;
   double p_star_;
+  // The tau_b law at each candidate Alice's cutoff, in belief_a_ order.
+  // All share (gbm, tau_b), so one Point serves every law.
+  std::vector<math::CutoffLaw> reveal_laws_;
   std::optional<math::Interval> band_;
 };
 

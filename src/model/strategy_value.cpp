@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -27,35 +26,33 @@ StrategyEvaluator::StrategyEvaluator(const SwapParams& params, double p_star)
   tail_hi_ = law_a.quantile(1.0 - 1e-10);
 }
 
-double StrategyEvaluator::alice_t2_value(double x, double cutoff) const {
-  // Eq. (20) with an arbitrary reveal cutoff.
-  return stage::alice_t2_cont(params_, p_star_, cutoff, x);
-}
-
-double StrategyEvaluator::bob_t2_value(double x, double cutoff) const {
-  // Eq. (21) with an arbitrary reveal cutoff.
-  return stage::bob_t2_cont(params_, p_star_, cutoff, x);
-}
-
-double StrategyEvaluator::integrate_region(
-    const math::IntervalSet& region,
-    const std::function<double(double)>& f) const {
+template <class F>
+double StrategyEvaluator::integrate_region(const math::IntervalSet& region,
+                                           const math::GbmLaw& law_a,
+                                           const math::CutoffLaw& t2_law,
+                                           const F& t2_value) const {
   double total = 0.0;
   for (const math::Interval& piece : region.intervals()) {
     const double lo = std::max(piece.lo, 1e-12);
     const double hi = std::isinf(piece.hi) ? tail_hi_ : piece.hi;
     if (!(hi > lo)) continue;
-    total += math::gauss_legendre(f, lo, hi, 48);
+    total += math::gauss_legendre(
+        [&](double x) {
+          const math::CutoffLaw::Point at = t2_law.at(x);
+          return law_a.pdf(x, at.log_price) * t2_value(at);
+        },
+        lo, hi, 48);
   }
   return total;
 }
 
 double StrategyEvaluator::alice_value(const ThresholdProfile& profile) const {
   const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double cutoff = profile.alice_cutoff;
+  // Eq. (20) with an arbitrary reveal cutoff.
+  const T2Kernel kernel(params_, p_star_, profile.alice_cutoff);
   const double inside = integrate_region(
-      profile.bob_region,
-      [&](double x) { return law_a.pdf(x) * alice_t2_value(x, cutoff); });
+      profile.bob_region, law_a, kernel.law(),
+      [&kernel](const T2Kernel::Point& at) { return kernel.alice_cont(at); });
   double inside_prob = 0.0;
   for (const math::Interval& piece : profile.bob_region.intervals()) {
     const double hi = std::isinf(piece.hi) ? tail_hi_ : piece.hi;
@@ -68,10 +65,11 @@ double StrategyEvaluator::alice_value(const ThresholdProfile& profile) const {
 
 double StrategyEvaluator::bob_value(const ThresholdProfile& profile) const {
   const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double cutoff = profile.alice_cutoff;
+  // Eq. (21) with an arbitrary reveal cutoff.
+  const T2Kernel kernel(params_, p_star_, profile.alice_cutoff);
   const double inside = integrate_region(
-      profile.bob_region,
-      [&](double x) { return law_a.pdf(x) * bob_t2_value(x, cutoff); });
+      profile.bob_region, law_a, kernel.law(),
+      [&kernel](const T2Kernel::Point& at) { return kernel.bob_cont(at); });
   double inside_pe = 0.0;
   for (const math::Interval& piece : profile.bob_region.intervals()) {
     const double hi = std::isinf(piece.hi) ? tail_hi_ : piece.hi;
@@ -84,11 +82,13 @@ double StrategyEvaluator::bob_value(const ThresholdProfile& profile) const {
 
 double StrategyEvaluator::success_rate(const ThresholdProfile& profile) const {
   const math::GbmLaw law_a(params_.gbm, params_.p_t0, params_.tau_a);
-  const double cutoff = profile.alice_cutoff;
-  return integrate_region(profile.bob_region, [&](double x) {
-    const math::GbmLaw law_b(params_.gbm, x, params_.tau_b);
-    return law_a.pdf(x) * law_b.survival(cutoff);
-  });
+  const math::CutoffLaw law_b(params_.gbm, params_.tau_b,
+                              profile.alice_cutoff);
+  return integrate_region(
+      profile.bob_region, law_a, law_b,
+      [&law_b](const math::CutoffLaw::Point& at) {
+        return law_b.survival(at);
+      });
 }
 
 double StrategyEvaluator::alice_best_response_cutoff() const {
@@ -97,7 +97,8 @@ double StrategyEvaluator::alice_best_response_cutoff() const {
 
 math::IntervalSet StrategyEvaluator::bob_best_response(
     double alice_cutoff) const {
-  const auto gap = [&](double p) { return bob_t2_value(p, alice_cutoff) - p; };
+  const T2Kernel kernel(params_, p_star_, alice_cutoff);
+  const auto gap = [&kernel](double p) { return kernel.bob_cont(p) - p; };
   const double scan_hi =
       10.0 * std::max({p_star_, params_.p_t0, alice_cutoff});
   const std::vector<double> roots =

@@ -69,15 +69,14 @@ class StrategyEvaluator {
   [[nodiscard]] ThresholdProfile equilibrium() const;
 
  private:
-  /// Alice's t2-anchored continuation value at price x under her cutoff.
-  [[nodiscard]] double alice_t2_value(double x, double cutoff) const;
-  /// Bob's t2-anchored continuation value at price x under Alice's cutoff.
-  [[nodiscard]] double bob_t2_value(double x, double cutoff) const;
-  /// Integral of pdf_a * f over the region (pieces truncated at a far
-  /// quantile for unbounded tails).
-  [[nodiscard]] double integrate_region(
-      const math::IntervalSet& region,
-      const std::function<double(double)>& f) const;
+  /// Integral of pdf_a(x) * t2_value(t2_law.at(x)) over the region (pieces
+  /// truncated at a far quantile for unbounded tails); the density shares
+  /// the node's log with the tau_b law.
+  template <class F>
+  [[nodiscard]] double integrate_region(const math::IntervalSet& region,
+                                        const math::GbmLaw& law_a,
+                                        const math::CutoffLaw& t2_law,
+                                        const F& t2_value) const;
 
   SwapParams params_;
   double p_star_;

@@ -145,15 +145,20 @@ TEST(FeeMarket, CancelWithdrawsWithoutCallbacks) {
 // Population runs
 // ---------------------------------------------------------------------------
 
+// A config that validate() accepts as it stands: the trader types are
+// spelled out (PopulationSim would fill the same defaults), so a throw in a
+// test below comes from the field that test breaks and no other.
 PopulationConfig small_config(std::uint64_t sessions = 300) {
   PopulationConfig config;
   config.sessions = sessions;
   config.arrival_rate = 600.0;
   config.seed = 0xFEED5;
+  config.types = PopulationConfig::default_types();
   return config;
 }
 
 TEST(PopulationSim, ValidatesConfig) {
+  EXPECT_NO_THROW(small_config().validate());
   PopulationConfig config = small_config();
   config.sessions = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
@@ -172,24 +177,19 @@ TEST(PopulationSim, RejectsTicksTooFineToQuantize) {
   // Regression: quantize() is llround(price / tick).  At tick = 1e-20 the
   // quotient overflows int64 (llround returned LLONG_MIN for every price),
   // so every limit snapped to one value and every P* shared one key.
-  const auto valid = [] {
-    PopulationConfig config = small_config();
-    config.types = PopulationConfig::default_types();
-    return config;
-  };
-  PopulationConfig config = valid();
+  PopulationConfig config = small_config();
   EXPECT_NO_THROW(config.validate());
   config.tick = 1e-20;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   EXPECT_THROW(PopulationSim{config}, std::invalid_argument);
-  config = valid();
+  config = small_config();
   config.decision_tick = 1e-20;
   EXPECT_THROW(config.validate(), std::invalid_argument);
 
   // The bound is p0 / tick * kTickHeadroom <= 2^53, on both ticks.
   const double finest = config.p0 * PopulationConfig::kTickHeadroom /
                         9007199254740992.0;
-  config = valid();
+  config = small_config();
   config.tick = finest;
   config.decision_tick = finest;
   EXPECT_NO_THROW(config.validate());
